@@ -87,10 +87,11 @@ race:
 
 # The live-mutation battery under the race detector: goroutines query all
 # three sharded containers while writers insert and the background trainer
-# hot-swaps shard states, plus the /v1/insert HTTP surface. CI runs the same
+# hot-swaps shard states, plus the /v1/insert HTTP surface and the bare
+# hybrid.Delta under concurrent readers and writers. CI runs the same
 # invocation with -count=2.
 race-mutation:
-	$(GO) test -race -run 'TestMutation|TestInsert|TestDelta|TestTrainer' -timeout 10m ./internal/shard/ ./internal/server/
+	$(GO) test -race -run 'TestMutation|TestInsert|TestDelta|TestTrainer' -timeout 10m ./internal/hybrid/ ./internal/shard/ ./internal/server/
 
 # One testing.B benchmark per table and figure of the paper, plus the
 # per-operation query benchmarks.

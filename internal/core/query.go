@@ -97,7 +97,9 @@ type DeltaStats struct {
 // Inserter is the write surface of a mutable structure: InsertSet absorbs a
 // whole new set into an exact delta structure, so every query composed with
 // the delta (aux fan-in) answers correctly the instant the call returns —
-// no retraining on the write path, O(pending delta) cost per operation.
+// no retraining on the write path. An insert is an amortized O(|s|) append
+// to the delta's element arena; a query pays one 64-bit signature test per
+// pending entry and an exact merge only where the signature admits a hit.
 type Inserter interface {
 	// InsertSet registers s as appended to the logical collection and
 	// returns its assigned global position (structures without position

@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -11,21 +12,40 @@ import (
 // append-only list of sets inserted after the model was trained. It is the
 // §7.2 auxiliary idea applied to whole sets instead of evicted subsets —
 // the learned model keeps answering for the trained bulk while every query
-// is composed with an exact linear pass over the (small) delta, so answers
-// are correct the instant an insert returns and stay correct until a
-// background retrain absorbs the entries into a fresh model.
+// is composed with an exact pass over the (small) delta, so answers are
+// correct the instant an insert returns and stay correct until a background
+// retrain absorbs the entries into a fresh model.
 //
-// All operations are O(len(delta)); the delta is kept small by retraining.
+// Layout. Entries live in four parallel append-only arrays instead of one
+// separately allocated set per entry: sig[i] is entry i's 64-bit signature
+// (bit sigBit(id) set for each of its ids), pos[i] its global position, and
+// its ids sit back to back in one element arena, elems[off[i]:off[i+1]].
+// Add copies the set into the arena, so callers may reuse theirs.
+//
+// Reads. A read computes sig(q) once and runs the exact ContainsAll merge
+// only on entries whose signature covers it (sig[i]&sig(q) == sig(q));
+// equality lookups further require sig[i] == sig(q) before Equal. The
+// filter has no false negatives: q ⊆ s implies sig(q) ⊆ sig(s), and s = q
+// implies sig(s) = sig(q), so every true hit survives it and counts,
+// first positions and membership stay exact. A read on an empty delta
+// returns before hashing. Cost is still O(len(delta)) word tests, but the
+// merge runs only on entries sharing every signature bit of q.
+//
 // Reads take the read lock only, so concurrent queries never serialize on
-// each other; Add is the only writer. Entries are never removed from a live
-// Delta — a retrain builds a *new* Delta holding only the unabsorbed tail
-// and swaps it in together with the new model, which is what lets a query
-// that loaded the old (model, delta) pair keep a complete, consistent view.
+// each other; Add is the only writer. Entries are never removed or
+// overwritten in a live Delta — a retrain builds a *new* Delta holding only
+// the unabsorbed tail and swaps it in together with the new model, which is
+// what lets a query that loaded the old (model, delta) pair keep a complete,
+// consistent view, and what keeps Snapshot sets (views into the arena)
+// stable after later Adds.
 type Delta struct {
-	mu      sync.RWMutex
-	entries []DeltaEntry
-	first   time.Time // arrival of the oldest entry, for staleness scoring
-	maxID   uint32
+	mu    sync.RWMutex
+	sig   []uint64  // per entry: OR of sigBit over its ids
+	pos   []int     // per entry: global position
+	off   []uint32  // len(pos)+1 once non-empty: entry i is elems[off[i]:off[i+1]]
+	elems []uint32  // every entry's ids, back to back
+	first time.Time // arrival of the oldest entry, for staleness scoring
+	maxID uint32
 }
 
 // DeltaEntry is one inserted set with its assigned global position.
@@ -36,17 +56,32 @@ type DeltaEntry struct {
 	Set sets.Set
 }
 
+// sigBit maps an element id to one of the 64 signature bits by
+// multiplicative (Fibonacci) hashing, which spreads the small, dense ids of
+// a Zipf head over distinct bits.
+func sigBit(id uint32) uint64 {
+	return 1 << ((uint64(id) * 0x9E3779B97F4A7C15) >> 58)
+}
+
+// signature returns the OR of sigBit over the ids of s.
+func signature(s sets.Set) uint64 {
+	var sig uint64
+	for _, id := range s {
+		sig |= sigBit(id)
+	}
+	return sig
+}
+
 // NewDelta returns an empty delta.
 func NewDelta() *Delta { return &Delta{} }
 
-// NewDeltaFrom returns a delta holding the given entries (used by retrain
-// to carry the unabsorbed tail into the swapped-in state, and by loaders).
+// NewDeltaFrom returns a delta holding copies of the given entries (used by
+// retrain to carry the unabsorbed tail into the swapped-in state, and by
+// loaders).
 func NewDeltaFrom(entries []DeltaEntry) *Delta {
-	d := &Delta{entries: entries}
+	d := &Delta{}
 	for _, en := range entries {
-		if n := len(en.Set); n > 0 && en.Set[n-1] > d.maxID {
-			d.maxID = en.Set[n-1]
-		}
+		d.appendEntry(en.Set, en.Pos)
 	}
 	if len(entries) > 0 {
 		d.first = time.Now()
@@ -54,16 +89,38 @@ func NewDeltaFrom(entries []DeltaEntry) *Delta {
 	return d
 }
 
-// Add appends one inserted set.
-func (d *Delta) Add(s sets.Set, pos int) {
-	d.mu.Lock()
-	if len(d.entries) == 0 {
-		d.first = time.Now()
+// appendEntry copies s into the arena as a new entry; the caller holds the
+// write lock (or owns d exclusively).
+func (d *Delta) appendEntry(s sets.Set, pos int) {
+	if len(d.elems)+len(s) > math.MaxUint32 {
+		panic("hybrid: delta element arena exceeds 2^32 ids")
 	}
-	d.entries = append(d.entries, DeltaEntry{Pos: pos, Set: s})
+	if len(d.off) == 0 {
+		d.off = append(d.off, 0)
+	}
+	d.sig = append(d.sig, signature(s))
+	d.pos = append(d.pos, pos)
+	d.elems = append(d.elems, s...)
+	d.off = append(d.off, uint32(len(d.elems)))
 	if n := len(s); n > 0 && s[n-1] > d.maxID {
 		d.maxID = s[n-1]
 	}
+}
+
+// entry returns entry i's ids as a cap-limited view into the arena, so an
+// append to it reallocates instead of overwriting entry i+1.
+func (d *Delta) entry(i int) sets.Set {
+	lo, hi := d.off[i], d.off[i+1]
+	return sets.Set(d.elems[lo:hi:hi])
+}
+
+// Add appends a copy of one inserted set.
+func (d *Delta) Add(s sets.Set, pos int) {
+	d.mu.Lock()
+	if len(d.pos) == 0 {
+		d.first = time.Now()
+	}
+	d.appendEntry(s, pos)
 	d.mu.Unlock()
 }
 
@@ -71,7 +128,7 @@ func (d *Delta) Add(s sets.Set, pos int) {
 func (d *Delta) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.entries)
+	return len(d.pos)
 }
 
 // Age returns how long the oldest pending entry has been waiting, or 0 for
@@ -79,7 +136,7 @@ func (d *Delta) Len() int {
 func (d *Delta) Age() time.Duration {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if len(d.entries) == 0 {
+	if len(d.pos) == 0 {
 		return 0
 	}
 	return time.Since(d.first)
@@ -92,23 +149,27 @@ func (d *Delta) MaxID() uint32 {
 	return d.maxID
 }
 
-// Snapshot copies the current entries; the prefix up to the returned length
-// is stable because entries are append-only.
+// Snapshot returns the current entries. Each Set is a cap-limited view into
+// the arena; entries are never overwritten, so the views stay valid and
+// unchanged across later Adds, including ones that reallocate.
 func (d *Delta) Snapshot() []DeltaEntry {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return append([]DeltaEntry(nil), d.entries...)
+	return d.Tail(0)
 }
 
-// Tail copies the entries from index cut onward — the inserts that landed
-// while a retrain was building over the first cut entries.
+// Tail returns the entries from index cut onward — the inserts that landed
+// while a retrain was building over the first cut entries — as views into
+// the arena like Snapshot's.
 func (d *Delta) Tail(cut int) []DeltaEntry {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if cut >= len(d.entries) {
+	if cut >= len(d.pos) {
 		return nil
 	}
-	return append([]DeltaEntry(nil), d.entries[cut:]...)
+	out := make([]DeltaEntry, len(d.pos)-cut)
+	for j := range out {
+		out[j] = DeltaEntry{Pos: d.pos[cut+j], Set: d.entry(cut + j)}
+	}
+	return out
 }
 
 // FirstPos returns the smallest position among entries matching q — superset
@@ -120,16 +181,25 @@ func (d *Delta) FirstPos(q sets.Set, equal bool) int {
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	if len(d.pos) == 0 {
+		return -1
+	}
+	qs := signature(q)
 	best := -1
-	for _, en := range d.entries {
-		var hit bool
-		if equal {
-			hit = en.Set.Equal(q)
-		} else {
-			hit = en.Set.ContainsAll(q)
+	for i, s := range d.sig {
+		if s&qs != qs || (equal && s != qs) {
+			continue
 		}
-		if hit && (best < 0 || en.Pos < best) {
-			best = en.Pos
+		if p := d.pos[i]; best < 0 || p < best {
+			var hit bool
+			if equal {
+				hit = d.entry(i).Equal(q)
+			} else {
+				hit = d.entry(i).ContainsAll(q)
+			}
+			if hit {
+				best = p
+			}
 		}
 	}
 	return best
@@ -145,9 +215,13 @@ func (d *Delta) Count(q sets.Set) float64 {
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	if len(d.pos) == 0 {
+		return 0
+	}
+	qs := signature(q)
 	n := 0
-	for _, en := range d.entries {
-		if en.Set.ContainsAll(q) {
+	for i, s := range d.sig {
+		if s&qs == qs && d.entry(i).ContainsAll(q) {
 			n++
 		}
 	}
@@ -164,21 +238,23 @@ func (d *Delta) Contains(q sets.Set) bool {
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	for _, en := range d.entries {
-		if en.Set.ContainsAll(q) {
+	if len(d.pos) == 0 {
+		return false
+	}
+	qs := signature(q)
+	for i, s := range d.sig {
+		if s&qs == qs && d.entry(i).ContainsAll(q) {
 			return true
 		}
 	}
 	return false
 }
 
-// SizeBytes estimates the delta footprint (entry headers plus element ids).
+// SizeBytes returns the delta footprint: the four arrays at their lengths,
+// 8 (sig) + 8 (pos) + 4 (off) bytes per entry plus 4 per id, and the
+// leading zero offset.
 func (d *Delta) SizeBytes() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	total := 0
-	for _, en := range d.entries {
-		total += 8 + 24 + 4*len(en.Set)
-	}
-	return total
+	return 8*len(d.sig) + 8*len(d.pos) + 4*len(d.off) + 4*len(d.elems)
 }
