@@ -284,46 +284,6 @@ func BenchmarkInferenceBatchPhiTable(b *testing.B) {
 	}
 }
 
-// BenchmarkInferenceF32PhiTable measures the float32 serving path with the
-// φ-table carried into the snapshot — the zero-alloc configuration the f32
-// acceptance bar compares against BenchmarkInferenceUncached.
-func BenchmarkInferenceF32PhiTable(b *testing.B) {
-	f := inferenceFixture(b)
-	f.Model.SetPhiAccel(f.Model.BuildPhiTable())
-	p := f.Model.Snapshot32().NewPredictor32()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Predict(f.Queries[i%len(f.Queries)])
-	}
-}
-
-// BenchmarkInferenceF32Uncached runs the float32 MLP φ for every element.
-func BenchmarkInferenceF32Uncached(b *testing.B) {
-	f := inferenceFixture(b)
-	f.Model.SetPhiAccel(nil)
-	p := f.Model.Snapshot32().NewPredictor32()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Predict(f.Queries[i%len(f.Queries)])
-	}
-}
-
-// BenchmarkInferenceF32BatchPhiTable answers the whole 256-query workload
-// per iteration through the f32 PredictBatch; ns/op is per batch.
-func BenchmarkInferenceF32BatchPhiTable(b *testing.B) {
-	f := inferenceFixture(b)
-	f.Model.SetPhiAccel(f.Model.BuildPhiTable())
-	p := f.Model.Snapshot32().NewPredictor32()
-	dst := make([]float64, len(f.Queries))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.PredictBatch(dst, f.Queries)
-	}
-}
-
 // BenchmarkQueryBloomTraditional measures the traditional Bloom filter.
 func BenchmarkQueryBloomTraditional(b *testing.B) {
 	s := bloomSuite(b)

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -46,4 +49,57 @@ func TestLoadQueriesMissingFile(t *testing.T) {
 	if _, err := loadQueries("", "/nonexistent/q.txt"); err == nil {
 		t.Fatal("expected error")
 	}
+}
+
+// TestAtomicSaveKeepsTargetOnFailure: a save that fails after writing part
+// of its output must leave the previous file byte-identical and no
+// temporary file behind; a save that succeeds replaces the content.
+func TestAtomicSaveKeepsTargetOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "est.bin")
+	old := []byte("previous structure")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	errMidway := errors.New("disk full")
+	err := atomicSave(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("partial")); err != nil {
+			return err
+		}
+		return errMidway
+	})
+	if !errors.Is(err, errMidway) {
+		t.Fatalf("atomicSave error = %v, want %v", err, errMidway)
+	}
+	expectOnly := func(want []byte) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("target holds %q, want %q", got, want)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			names := make([]string, len(entries))
+			for i, e := range entries {
+				names[i] = e.Name()
+			}
+			t.Fatalf("directory holds %v, want only the target", names)
+		}
+	}
+	expectOnly(old)
+
+	fresh := []byte("retrained structure")
+	if err := atomicSave(path, func(w io.Writer) error {
+		_, err := w.Write(fresh)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	expectOnly(fresh)
 }

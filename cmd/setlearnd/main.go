@@ -18,10 +18,8 @@
 // a heap file); the estimator and filter are self-contained. Sharded
 // containers (setlearn -shards K) are detected by their magic bytes and
 // served through the same endpoints, with per-shard stats printed at load
-// and published under setlearn.shard.* on /debug/vars — including each
-// shard's held-out error and calibration state for containers built with
-// setlearn -calibrate; -shards and -partitioner assert the expected
-// topology. The daemon drains in-flight requests on SIGINT/SIGTERM before
+// and published under setlearn.shard.* on /debug/vars; -shards and
+// -partitioner assert the expected topology. The daemon drains in-flight requests on SIGINT/SIGTERM before
 // exiting.
 //
 // Live mutation: POST /v1/insert appends a set to every loaded structure;
@@ -63,13 +61,7 @@ func main() {
 	partFlag := flag.String("partitioner", "", "required partitioner (hash|range|freq|cluster) for loaded sharded containers; empty accepts any")
 	retrainEvery := flag.Duration("retrain-interval", 0, "background retrain sweep interval for sharded containers; 0 disables")
 	deltaThreshold := flag.Int("delta-threshold", 64, "pending inserts a shard must accumulate before a sweep rebuilds it")
-	precFlag := flag.String("precision", "f64", "serving precision: f64 (bit-exact reference) or f32 (zero-alloc float32 kernels)")
 	flag.Parse()
-
-	prec, err := core.ParsePrecision(*precFlag)
-	if err != nil {
-		fatal(err)
-	}
 
 	if *indexPath == "" && *cardPath == "" && *memberPath == "" {
 		fmt.Fprintln(os.Stderr, "setlearnd: provide at least one of -index, -card, -member")
@@ -174,21 +166,6 @@ func main() {
 		}
 	}
 
-	// Precision is applied after EnableFastPath so the f32 snapshot carries
-	// the freshly built φ-table; /v1/status reports the active precision.
-	if prec != core.F64 {
-		if st.Estimator != nil {
-			st.Estimator.SetPrecision(prec)
-		}
-		if st.Index != nil {
-			st.Index.SetPrecision(prec)
-		}
-		if st.Filter != nil {
-			st.Filter.SetPrecision(prec)
-		}
-		fmt.Printf("serving precision: %s\n", prec)
-	}
-
 	cfg := server.Config{Addr: *addr, DrainTimeout: *drain}
 	var trainer *shard.Trainer
 	if *retrainEvery > 0 {
@@ -285,17 +262,10 @@ func rejectShardFlags(kind, path string, wantK int, wantP shard.Partitioner) {
 	}
 }
 
-// printShardStats prints one line per shard of a freshly loaded container,
-// including the calibration state when the container carries curves.
+// printShardStats prints one line per shard of a freshly loaded container.
 func printShardStats(ss core.ShardStatser) {
 	for _, s := range ss.ShardStats() {
-		line := fmt.Sprintf("  shard %d: %d sets, %.3f MB, φ %s", s.Shard, s.Sets, mbOf(s.Bytes), s.PhiMode)
-		if s.Calibrated {
-			line += fmt.Sprintf(", calibrated (holdout err %.3f)", s.HoldoutErr)
-		} else if s.HoldoutErr > 0 {
-			line += fmt.Sprintf(", holdout err %.3f", s.HoldoutErr)
-		}
-		fmt.Println(line)
+		fmt.Printf("  shard %d: %d sets, %.3f MB, φ %s\n", s.Shard, s.Sets, mbOf(s.Bytes), s.PhiMode)
 	}
 }
 

@@ -10,7 +10,6 @@ func inferenceFixturePoint(speedup float64) InferencePoint {
 		Config: "lsm", SetSize: 8,
 		UncachedUS: 12, TableUS: 12 / speedup, BatchTableUS: 12 / speedup,
 		TableSpeedup: speedup, BatchSpeedup: speedup,
-		F32TableUS: 12 / (speedup * 1.1), F32Speedup: speedup * 1.1, F32AllocsOp: 0,
 	}
 }
 
@@ -38,30 +37,6 @@ func TestGateInferenceCatchesSpeedupRegression(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("want table_speedup violation, got %v", vs)
-	}
-}
-
-func TestGateInferenceCatchesAllocRegression(t *testing.T) {
-	base := &InferenceReport{Points: []InferencePoint{inferenceFixturePoint(8)}}
-	p := inferenceFixturePoint(8)
-	p.F32AllocsOp = 2 // any steady-state allocation is a regression, no tolerance
-	fresh := &InferenceReport{Points: []InferencePoint{p}}
-	vs := GateInference(base, fresh, 0.4)
-	if len(vs) != 1 || vs[0].Metric != "f32_allocs_op" {
-		t.Fatalf("want exactly the alloc violation, got %v", vs)
-	}
-}
-
-func TestGateInferenceEnforcesF32Floor(t *testing.T) {
-	// Baseline predates the f32 path (F32Speedup 0): the relative check is
-	// skipped but the absolute 1.5× floor still applies to the fresh run.
-	base := &InferenceReport{Points: []InferencePoint{{Config: "lsm", SetSize: 8, TableSpeedup: 8, BatchSpeedup: 8}}}
-	p := inferenceFixturePoint(8)
-	p.F32Speedup = 1.2
-	fresh := &InferenceReport{Points: []InferencePoint{p}}
-	vs := GateInference(base, fresh, 0.4)
-	if len(vs) != 1 || vs[0].Metric != "f32_speedup_floor" {
-		t.Fatalf("want the f32 floor violation, got %v", vs)
 	}
 }
 
@@ -101,57 +76,69 @@ func TestGateSharding(t *testing.T) {
 	}
 }
 
-func calibratedFixturePoint(calErr float64) ShardingPoint {
+// skewFixturePoint is a freq-partitioned point whose mean absolute error
+// is ratio × a monolith error of 1.
+func skewFixturePoint(ratio float64) ShardingPoint {
 	return ShardingPoint{
 		Shards: 8, Partitioner: "freq",
-		BuildSpeedup: 3.5, MeanAbsErr: 5.0, CalibratedErr: calErr,
+		BuildSpeedup: 3.5, MeanAbsErr: ratio,
 		SingleUS: 10, BatchUS: 9,
 	}
 }
 
-func TestGateShardingCalibratedRatio(t *testing.T) {
+func TestGateShardingErrRatio(t *testing.T) {
 	// Baseline ratio 1.5× the monolith — under the 2× acceptance ceiling.
-	base := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{calibratedFixturePoint(1.5)}}
+	const tol = 0.4
+	base := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{skewFixturePoint(1.5)}}
 
 	// 1.8× is within both the relative tolerance and the absolute ceiling.
-	ok := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{calibratedFixturePoint(1.8)}}
-	if vs := GateSharding(base, ok, 0.4); len(vs) != 0 {
+	ok := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{skewFixturePoint(1.8)}}
+	if vs := GateSharding(base, ok, tol); len(vs) != 0 {
 		t.Fatalf("ratio under the ceiling must pass, got %v", vs)
 	}
 
 	// 2.1× clears the tolerance-scaled relative bound (1.5×1.4+0.1 = 2.2)
 	// but breaks the absolute ceiling: the headline accuracy claim must not
 	// erode by tol per PR.
-	over := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{calibratedFixturePoint(2.1)}}
-	vs := GateSharding(base, over, 0.4)
-	if len(vs) != 1 || vs[0].Metric != "calibrated_err_ratio_ceiling" {
+	over := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{skewFixturePoint(2.1)}}
+	vs := GateSharding(base, over, tol)
+	if len(vs) != 1 || vs[0].Metric != "err_ratio_ceiling" {
 		t.Fatalf("want exactly the ceiling violation, got %v", vs)
 	}
 
 	// Way past both bounds: the relative check fires too.
-	far := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{calibratedFixturePoint(4.0)}}
-	vs = GateSharding(base, far, 0.4)
+	far := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{skewFixturePoint(4.0)}}
+	vs = GateSharding(base, far, tol)
 	metrics := map[string]bool{}
 	for _, v := range vs {
 		metrics[v.Metric] = true
 	}
-	if !metrics["calibrated_err_ratio"] || !metrics["calibrated_err_ratio_ceiling"] {
+	if !metrics["err_ratio"] || !metrics["err_ratio_ceiling"] {
 		t.Fatalf("want relative and ceiling violations, got %v", vs)
 	}
 
-	// A fresh run that dropped the calibrated column altogether fails.
-	uncal := calibratedFixturePoint(0)
-	missing := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{uncal}}
-	vs = GateSharding(base, missing, 0.4)
-	if len(vs) != 1 || !strings.Contains(vs[0].Metric, "calibrated_err missing") {
-		t.Fatalf("want a missing-calibration violation, got %v", vs)
+	// A fresh run without the monolith denominator fails.
+	noMono := &ShardingReport{Points: []ShardingPoint{skewFixturePoint(1.5)}}
+	vs = GateSharding(base, noMono, tol)
+	if len(vs) != 1 || !strings.Contains(vs[0].Metric, "monolith_err missing") {
+		t.Fatalf("want a missing-monolith violation, got %v", vs)
 	}
 
 	// A baseline over the ceiling never had the claim; only the relative
 	// bound applies, so a fresh ratio within tolerance of it passes.
-	baseOver := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{calibratedFixturePoint(3.0)}}
-	freshOver := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{calibratedFixturePoint(4.0)}}
-	if vs := GateSharding(baseOver, freshOver, 0.4); len(vs) != 0 {
+	baseOver := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{skewFixturePoint(3.0)}}
+	freshOver := &ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{skewFixturePoint(4.0)}}
+	if vs := GateSharding(baseOver, freshOver, tol); len(vs) != 0 {
 		t.Fatalf("ceiling must not apply when the baseline never met it, got %v", vs)
+	}
+
+	// Hash points are not held to the ceiling.
+	hash := skewFixturePoint(1.5)
+	hash.Partitioner = "hash"
+	hashOver := hash
+	hashOver.MeanAbsErr = 2.1
+	if vs := GateSharding(&ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{hash}},
+		&ShardingReport{MonolithErr: 1.0, Points: []ShardingPoint{hashOver}}, tol); len(vs) != 0 {
+		t.Fatalf("hash points must not be ratio-gated, got %v", vs)
 	}
 }

@@ -6,19 +6,12 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"testing"
 	"time"
 
 	"setlearn/internal/dataset"
 	"setlearn/internal/deepsets"
-	"setlearn/internal/mat"
 	"setlearn/internal/sets"
 )
-
-// f32InferenceTol bounds the f32-vs-f64 disagreement the inference
-// benchmark tolerates before failing; raw (pre-scaler) model outputs on the
-// random-weight fixture stay well inside it.
-const f32InferenceTol = 1e-3
 
 // InferenceFixture is a model plus a fixed query workload for measuring the
 // φ fast path. Weights are randomly initialized — inference cost and the
@@ -58,11 +51,6 @@ type InferencePoint struct {
 	BatchTableUS float64 `json:"batch_table_us_per_query"`
 	TableSpeedup float64 `json:"table_speedup"`
 	BatchSpeedup float64 `json:"batch_speedup"`
-	// float32 serving path (snapshot of the same model; φ-table carried).
-	F32UncachedUS float64 `json:"f32_uncached_us"`
-	F32TableUS    float64 `json:"f32_table_us"`
-	F32Speedup    float64 `json:"f32_speedup"` // f64 uncached ÷ f32 table
-	F32AllocsOp   float64 `json:"f32_allocs_op"`
 }
 
 // InferenceReport is the JSON trajectory written to BENCH_inference.json
@@ -102,13 +90,11 @@ func RunInference(w io.Writer, sc dataset.Scale) error {
 	maxID := uint32(sc.RWVocab - 1)
 	rep := &Report{
 		Title:  fmt.Sprintf("Inference fast path (scale=%s, universe=%d): µs per query", sc.Name, maxID+1),
-		Header: []string{"Config", "k", "Uncached", "PhiTable", "PhiCache", "Batch+Table", "Table ×", "Batch ×", "F32+Table", "F32 ×"},
+		Header: []string{"Config", "k", "Uncached", "PhiTable", "PhiCache", "Batch+Table", "Table ×", "Batch ×"},
 		Notes: []string{
 			"PhiTable precomputes φ for the whole universe; PhiCache is the sharded",
 			"fixed-size fallback (sized to half the universe here, so it evicts).",
-			"All f64 fast-path outputs are verified bit-identical to the uncached path;",
-			"the f32 snapshot path is verified within rounding tolerance and runs",
-			"allocation-free (F32 × is f64-uncached ÷ f32-table).",
+			"All fast-path outputs are verified bit-identical to the uncached path.",
 		},
 	}
 	out := InferenceReport{Scale: sc.Name, MaxID: maxID}
@@ -166,33 +152,6 @@ func RunInference(w io.Writer, sc dataset.Scale) error {
 				}
 			}
 
-			// float32 serving path, snapshotted while the φ-table is
-			// installed (the snapshot carries it as a PhiTable32). Outputs
-			// are not bit-identical to f64 — they must land within the
-			// rounding tolerance instead; the "precision" experiment reports
-			// the measured deltas per structure.
-			p32 := m.Snapshot32().NewPredictor32()
-			p32u := m.Snapshot32WithoutAccel().NewPredictor32()
-			for i, q := range qs {
-				if got := p32.Predict(q); !mat.WithinTol(got, truth[i], f32InferenceTol) {
-					return fmt.Errorf("bench: inference %s/f32 k=%d: %v vs f64 %v exceeds tol %v",
-						config, k, got, truth[i], f32InferenceTol)
-				}
-			}
-			f32Table := usPerQuery(reps, len(qs), func() {
-				for _, q := range qs {
-					p32.Predict(q)
-				}
-			})
-			f32Uncached := usPerQuery(reps, len(qs), func() {
-				for _, q := range qs {
-					p32u.Predict(q)
-				}
-			})
-			f32Allocs := testing.AllocsPerRun(16, func() {
-				p32.Predict(qs[0])
-			})
-
 			// Half-universe cache: real eviction traffic, not a disguised table.
 			m.SetPhiAccel(m.NewPhiCache(int(maxID+1)/2*m.Config().PhiOut*8, 0))
 			if err := verify("cache"); err != nil {
@@ -208,13 +167,10 @@ func RunInference(w io.Writer, sc dataset.Scale) error {
 				Config: config, SetSize: k,
 				UncachedUS: uncached, TableUS: table, CacheUS: cache, BatchTableUS: batch,
 				TableSpeedup: uncached / table, BatchSpeedup: uncached / batch,
-				F32UncachedUS: f32Uncached, F32TableUS: f32Table,
-				F32Speedup: uncached / f32Table, F32AllocsOp: f32Allocs,
 			}
 			out.Points = append(out.Points, pt)
 			rep.AddRow(config, k, uncached, table, cache, batch,
-				fmt.Sprintf("%.1f", pt.TableSpeedup), fmt.Sprintf("%.1f", pt.BatchSpeedup),
-				f32Table, fmt.Sprintf("%.1f", pt.F32Speedup))
+				fmt.Sprintf("%.1f", pt.TableSpeedup), fmt.Sprintf("%.1f", pt.BatchSpeedup))
 		}
 	}
 

@@ -46,12 +46,8 @@ type FilterOptions struct {
 // negatives for subsets within the trained size cap — the standard learned
 // Bloom filter construction [Kraska et al.].
 type MembershipFilter struct {
-	model *deepsets.Model
-	pred  *deepsets.PredictorPool
-	// pred32, when non-nil, routes predictions through a float32 snapshot
-	// (SetPrecision); everything downstream (threshold, backup filter)
-	// stays float64.
-	pred32    atomic.Pointer[deepsets.PredictorPool32]
+	model     *deepsets.Model
+	pred      *deepsets.PredictorPool
 	backup    *bloom.Filter
 	pre       *bloom.Filter // optional sandwich pre-filter
 	threshold float64
@@ -144,29 +140,10 @@ func (f *MembershipFilter) Contains(q sets.Set) bool {
 	if f.pre != nil && !f.pre.Contains(q.Hash()) {
 		return false // sandwich pre-filter: definitely absent
 	}
-	if f.predict(q) > f.effThreshold() {
+	if f.pred.Predict(q) > f.threshold {
 		return true
 	}
 	return f.backup.Contains(q.Hash())
-}
-
-// f32ThresholdGuard is the guard band the f32 path subtracts from the
-// classification cut. The backup filter holds the *float64* model's false
-// negatives, so a trained positive the f64 model passed at τ is absent
-// from it; if the f32 prediction drifted below τ the filter would gain a
-// false negative. Predictions under f32 stay within ~1e-5 of f64 (the
-// bench precision experiment measures this; sigmoid outputs live in
-// [0,1]), so a 1e-3 guard restores the one-sided guarantee with a
-// negligible false-positive cost — only queries whose f64 probability
-// lies within 1e-3 of τ answer differently.
-const f32ThresholdGuard = 1e-3
-
-// effThreshold returns the classification cut for the active precision.
-func (f *MembershipFilter) effThreshold() float64 {
-	if f.pred32.Load() != nil {
-		return f.threshold - f32ThresholdGuard
-	}
-	return f.threshold
 }
 
 // ModelProbability exposes the raw classifier output for q.
@@ -174,7 +151,7 @@ func (f *MembershipFilter) ModelProbability(q sets.Set) float64 {
 	if len(q) == 0 || q[len(q)-1] > f.model.Config().MaxID {
 		return 0
 	}
-	return f.predict(q)
+	return f.pred.Predict(q)
 }
 
 // InsertSet appends s to the logical collection: Contains answers true for
@@ -237,10 +214,9 @@ func (f *MembershipFilter) containsFused(out []bool, qs []sets.Set) {
 	if len(need) == 0 {
 		return
 	}
-	probs := f.predictBatch(nil, need)
-	tau := f.effThreshold()
+	probs := f.pred.PredictBatch(nil, need)
 	for j, q := range need {
-		out[needAt[j]] = probs[j] > tau || f.backup.Contains(q.Hash())
+		out[needAt[j]] = probs[j] > f.threshold || f.backup.Contains(q.Hash())
 	}
 }
 

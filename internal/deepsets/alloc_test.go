@@ -3,6 +3,8 @@ package deepsets
 import (
 	"math/rand"
 	"testing"
+
+	"setlearn/internal/sets"
 )
 
 // Allocation baselines for the float64 serving paths, measured with
@@ -11,13 +13,25 @@ import (
 // (uncached, table, cache-hit) and PredictBatch with a caller-sized dst
 // all run at 0 allocs/op once per-predictor scratch and the per-batch
 // memo have warmed. These asserts pin that baseline so regressions show
-// up as test failures, not as slow drift in the benchmarks; the f32
-// arena path (model32_test.go) is held to the same 0.
+// up as test failures, not as slow drift in the benchmarks.
 //
 // The one steady-state alloc the memo path is allowed: a batch with ids
 // the memo slab has not grown to yet may extend memoSlab once. The warmup
 // below runs each exact workload first, so the measured region sees the
 // grown slab.
+
+// randSets draws n random k-element sets over ids [0, maxID].
+func randSets(rng *rand.Rand, n, k int, maxID uint32) []sets.Set {
+	qs := make([]sets.Set, n)
+	for i := range qs {
+		ids := make([]uint32, 0, k)
+		for len(sets.New(ids...)) < k {
+			ids = append(ids, uint32(rng.Intn(int(maxID)+1)))
+		}
+		qs[i] = sets.New(ids...)
+	}
+	return qs
+}
 
 func TestPredictF64ZeroAllocsUncached(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))

@@ -8,10 +8,8 @@ package hybrid
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"setlearn/internal/bptree"
-	"setlearn/internal/calib"
 	"setlearn/internal/dataset"
 	"setlearn/internal/deepsets"
 	"setlearn/internal/sets"
@@ -27,16 +25,6 @@ type Index struct {
 	model      *deepsets.Model
 	scaler     train.Scaler
 	pred       *deepsets.PredictorPool
-
-	// pred32, when non-nil, routes predictions through a float32 snapshot
-	// of the model (see SetF32). Atomic so precision can be switched while
-	// queries are in flight; everything downstream of the prediction
-	// (scaler, error windows, aux) stays float64.
-	pred32 atomic.Pointer[deepsets.PredictorPool32]
-
-	// posCal, when non-nil, is a monotone correction applied to the
-	// unscaled model output before clamping (see SetPositionCalibration).
-	posCal atomic.Pointer[calib.Curve]
 
 	auxMu sync.RWMutex
 	aux   *bptree.Tree // outlier subsets: permutation-invariant hash → first position
@@ -120,94 +108,19 @@ func inVocab(m *deepsets.Model, q sets.Set) bool {
 	return len(q) == 0 || q[len(q)-1] <= m.Config().MaxID
 }
 
-// SetF32 switches the index's serving precision. Enabling snapshots the
-// model's current weights (and installed φ-table, if any) to float32;
-// disabling restores the bit-identical float64 path. The error bounds were
-// measured with float64 predictions, so the f32 path trades a bounded
-// accuracy delta (see the bench precision experiment) for speed. Re-enable
-// after EnableFastPath or further training to refresh the snapshot.
-func (idx *Index) SetF32(on bool) {
-	if !on {
-		idx.pred32.Store(nil)
-		return
-	}
-	idx.pred32.Store(idx.model.Snapshot32().NewPredictorPool32())
-}
-
-// F32 reports whether the index serves predictions in float32.
-func (idx *Index) F32() bool { return idx.pred32.Load() != nil }
-
-// predict routes one model evaluation through the active precision.
-func (idx *Index) predict(q sets.Set) float64 {
-	if p := idx.pred32.Load(); p != nil {
-		return p.Predict(q)
-	}
-	return idx.pred.Predict(q)
-}
-
-// predictBatch routes a batched model evaluation through the active
-// precision.
-func (idx *Index) predictBatch(dst []float64, qs []sets.Set) []float64 {
-	if p := idx.pred32.Load(); p != nil {
-		return p.PredictBatch(dst, qs)
-	}
-	return idx.pred.PredictBatch(dst, qs)
-}
-
 // estimatePos runs the model and maps the output to an integer position.
 func (idx *Index) estimatePos(q sets.Set) int {
-	return idx.posFromOut(idx.predict(q))
+	return idx.clampPos(idx.scaler.Unscale(idx.pred.Predict(q)))
 }
 
-// posFromOut maps a raw model output to an integer position: unscale, apply
-// the position calibration when installed, clamp. Lookup and LookupBatch
-// both route through it so calibrated answers stay bit-identical across the
-// single and batched paths.
-func (idx *Index) posFromOut(out float64) int {
-	u := idx.scaler.Unscale(out)
-	if cal := idx.posCal.Load(); cal != nil {
-		u = cal.Apply(u)
-	}
-	return idx.clampPos(u)
-}
-
-// SetPositionCalibration installs (or, with nil, removes) a monotone
-// correction on the model's unscaled position output. The per-range error
-// bounds must have been measured with the same calibration in effect —
-// install at load time only when the persisted bounds already reflect it,
-// or use RecalibratePositions to install and remeasure together.
-func (idx *Index) SetPositionCalibration(cal *calib.Curve) { idx.posCal.Store(cal) }
-
-// PositionCalibration returns the installed position correction, or nil.
-func (idx *Index) PositionCalibration() *calib.Curve { return idx.posCal.Load() }
-
-// RawPosition returns the unscaled, uncalibrated, pre-clamp position the
-// model predicts for q. ok is false when q is answered without consulting
-// the model (auxiliary hit or out-of-vocabulary element) — exact paths that
-// calibration must leave untouched. This is the fit domain for position
-// calibration curves.
-func (idx *Index) RawPosition(q sets.Set) (pos float64, ok bool) {
-	if len(q) == 0 {
-		return 0, false
-	}
-	if _, done := idx.auxAnswer(q, false); done {
-		return 0, false
-	}
-	if !inVocab(idx.model, q) {
-		return 0, false
-	}
-	return idx.scaler.Unscale(idx.predict(q)), true
-}
-
-// RecalibratePositions installs cal as the position calibration and
-// remeasures the per-range error bounds over samples (ground-truth first
-// positions for the trained subsets, as produced by IndexSamples), mirroring
-// the BuildIndex measurement: samples answered by the auxiliary structure or
-// out-of-vocabulary are skipped, exactly the ones the model path never
-// serves. Bounds are read lock-free by queries, so this must run before the
-// index serves traffic (fresh build or load), never on a live structure.
-func (idx *Index) RecalibratePositions(cal *calib.Curve, samples []dataset.Sample) {
-	idx.posCal.Store(cal)
+// RemeasureBounds remeasures the per-range error bounds over samples
+// (ground-truth first positions for the trained subsets, as produced by
+// IndexSamples), mirroring the BuildIndex measurement: samples answered by
+// the auxiliary structure or out-of-vocabulary are skipped, exactly the
+// ones the model path never serves. Bounds are read lock-free by queries,
+// so this must run before the index serves traffic (fresh build or load),
+// never on a live structure.
+func (idx *Index) RemeasureBounds(samples []dataset.Sample) {
 	for i := range idx.errors {
 		idx.errors[i] = 0
 	}
@@ -343,9 +256,9 @@ func (idx *Index) LookupBatch(dst []int, qs []sets.Set, equal bool) []int {
 	if len(need) == 0 {
 		return dst
 	}
-	outs := idx.predictBatch(nil, need)
+	outs := idx.pred.PredictBatch(nil, need)
 	for j, q := range need {
-		est := idx.posFromOut(outs[j])
+		est := idx.clampPos(idx.scaler.Unscale(outs[j]))
 		dst[needAt[j]] = idx.scanFromEstimate(q, est, equal)
 	}
 	return dst
@@ -451,13 +364,6 @@ type Estimator struct {
 	scaler train.Scaler
 	pred   *deepsets.PredictorPool
 
-	// pred32 mirrors Index.pred32: the optional float32 serving path.
-	pred32 atomic.Pointer[deepsets.PredictorPool32]
-
-	// cal, when non-nil, is a monotone correction applied to the raw
-	// unscaled model output (see SetCalibration).
-	cal atomic.Pointer[calib.Curve]
-
 	auxMu sync.RWMutex
 	aux   map[string]float64 // outlier subset key → exact cardinality
 }
@@ -490,81 +396,16 @@ func (e *Estimator) Estimate(q sets.Set) float64 {
 	if !inVocab(e.model, q) {
 		return 0 // out-of-vocabulary elements cannot occur in the collection
 	}
-	return e.finish(e.scaler.Unscale(e.predict(q)), e.cal.Load())
+	return e.finish(e.scaler.Unscale(e.pred.Predict(q)))
 }
 
-// finish maps a raw unscaled model output to the served estimate. Without
-// calibration the raw value is floored at 1 (a trained subset occurs at
-// least once). With a curve installed the floor is skipped: raw values
-// below 1 — even negative ones — carry real "barely or not present" signal
-// the monotone correction maps onto the true low cardinalities, and Apply
-// already floors its result at 0.
-func (e *Estimator) finish(raw float64, cal *calib.Curve) float64 {
-	if cal != nil {
-		return cal.Apply(raw)
-	}
+// finish maps a raw unscaled model output to the served estimate, floored
+// at 1: a trained subset occurs at least once.
+func (e *Estimator) finish(raw float64) float64 {
 	if raw < 1 {
 		return 1
 	}
 	return raw
-}
-
-// SetCalibration installs (or, with nil, removes) a monotone correction on
-// the raw unscaled model output. Exact paths — auxiliary hits and
-// out-of-vocabulary queries — are never calibrated. Atomic, so the curve
-// can be swapped while queries are in flight.
-func (e *Estimator) SetCalibration(cal *calib.Curve) { e.cal.Store(cal) }
-
-// Calibration returns the installed correction curve, or nil.
-func (e *Estimator) Calibration() *calib.Curve { return e.cal.Load() }
-
-// RawEstimate returns the unscaled model output for q with neither the
-// floor nor calibration applied. ok is false when q is answered without
-// consulting the model (auxiliary hit or out-of-vocabulary element). This
-// is the fit domain for calibration curves.
-func (e *Estimator) RawEstimate(q sets.Set) (est float64, ok bool) {
-	if len(q) == 0 {
-		return 0, false
-	}
-	e.auxMu.RLock()
-	_, hit := e.aux[q.Key()]
-	e.auxMu.RUnlock()
-	if hit {
-		return 0, false
-	}
-	if !inVocab(e.model, q) {
-		return 0, false
-	}
-	return e.scaler.Unscale(e.predict(q)), true
-}
-
-// SetF32 switches the estimator's serving precision (see Index.SetF32).
-func (e *Estimator) SetF32(on bool) {
-	if !on {
-		e.pred32.Store(nil)
-		return
-	}
-	e.pred32.Store(e.model.Snapshot32().NewPredictorPool32())
-}
-
-// F32 reports whether the estimator serves predictions in float32.
-func (e *Estimator) F32() bool { return e.pred32.Load() != nil }
-
-// predict routes one model evaluation through the active precision.
-func (e *Estimator) predict(q sets.Set) float64 {
-	if p := e.pred32.Load(); p != nil {
-		return p.Predict(q)
-	}
-	return e.pred.Predict(q)
-}
-
-// predictBatch routes a batched model evaluation through the active
-// precision.
-func (e *Estimator) predictBatch(dst []float64, qs []sets.Set) []float64 {
-	if p := e.pred32.Load(); p != nil {
-		return p.PredictBatch(dst, qs)
-	}
-	return e.pred.PredictBatch(dst, qs)
 }
 
 // EstimateBatch answers every query in qs, writing estimates into dst
@@ -601,10 +442,9 @@ func (e *Estimator) EstimateBatch(dst []float64, qs []sets.Set) []float64 {
 	if len(need) == 0 {
 		return dst
 	}
-	outs := e.predictBatch(nil, need)
-	cal := e.cal.Load()
+	outs := e.pred.PredictBatch(nil, need)
 	for j := range need {
-		dst[needAt[j]] = e.finish(e.scaler.Unscale(outs[j]), cal)
+		dst[needAt[j]] = e.finish(e.scaler.Unscale(outs[j]))
 	}
 	return dst
 }

@@ -9,6 +9,7 @@ import (
 
 func TestFloateq(t *testing.T) {
 	linttest.Run(t, floateq.Analyzer, "floateq")
+	linttest.Run(t, floateq.Analyzer, "nn") // the blessed nn/io.go boundary
 }
 
 func TestScope(t *testing.T) {

@@ -1,15 +1,15 @@
 package floateq
 
 // Precision-boundary checks: non-constant float64↔float32 conversions are
-// only allowed in blessed kernel files (see blessed32.go).
+// only allowed in nn/io.go (see testdata/src/nn).
 
 type half float32
 
 func mixes(a float64, f float32, n int, m meters) {
-	_ = float32(a) // want `precision-mixing conversion float32\(a\) outside a blessed kernel file`
-	_ = float64(f) // want `precision-mixing conversion float64\(f\) outside a blessed kernel file`
-	_ = half(a)    // want `precision-mixing conversion half\(a\) outside a blessed kernel file`
-	_ = float32(m) // want `precision-mixing conversion float32\(m\) outside a blessed kernel file`
+	_ = float32(a) // want `precision-mixing conversion float32\(a\) outside nn/io.go`
+	_ = float64(f) // want `precision-mixing conversion float64\(f\) outside nn/io.go`
+	_ = half(a)    // want `precision-mixing conversion half\(a\) outside nn/io.go`
+	_ = float32(m) // want `precision-mixing conversion float32\(m\) outside nn/io.go`
 
 	_ = float64(n)   // int → float: widening from an integer is exact enough
 	_ = float32(n)   // int → float32: not a float↔float mix

@@ -73,10 +73,9 @@ func floatCompare(a, b float64) bool { return a == b }
 }
 
 // TestNoallocRealHotPaths is the acceptance gate for the interprocedural
-// layer: every //lint:hotpath annotation in the real serving code —
-// Predictor32.Predict/PredictBatch and their pool wrappers, the f32 mat
-// kernels, the delta read path, the shard delta fan-in — must verify with
-// ZERO diagnostics and zero suppressions. A regression in the predictors,
+// layer: every //lint:hotpath annotation in the real serving code — the
+// mat kernels, the delta read path, the shard delta fan-in — must verify
+// with ZERO diagnostics and zero suppressions. A regression in the predictors,
 // or an analyzer change that starts flagging the blessed idioms
 // (cap-guarded growth, panic arguments, caller-owned appends), fails here.
 func TestNoallocRealHotPaths(t *testing.T) {
@@ -101,17 +100,16 @@ func TestNoallocRealHotPaths(t *testing.T) {
 
 // TestPubfreezeRealHotSwapSites is the acceptance gate for the
 // publication-safety layer: every atomic hot-swap in the serving stack —
-// hybrid's f32 predictor-pool and calibration-curve swaps, the sharded
-// containers' per-shard state swaps in RetrainShard, deepsets' φ-accel
-// (PhiTable/PhiCache) attach, core's fast-path options install — must
-// verify frozen-after-publish with ZERO diagnostics and zero
-// suppressions. A new mutate-after-Store bug, or an analyzer change that
+// the sharded containers' per-shard state swaps in RetrainShard,
+// deepsets' φ-accel (PhiTable/PhiCache) attach, core's fast-path options
+// install — must verify frozen-after-publish with ZERO diagnostics and
+// zero suppressions. A new mutate-after-Store bug, or an analyzer change that
 // starts flagging the blessed copy-on-write idiom (build fresh, mutate
 // fresh, Store fresh), fails here.
 func TestPubfreezeRealHotSwapSites(t *testing.T) {
 	dirs := []string{
 		"./internal/hybrid", "./internal/shard", "./internal/deepsets",
-		"./internal/core", "./internal/server", "./internal/calib",
+		"./internal/core", "./internal/server",
 	}
 	var out strings.Builder
 	res, err := lint.Run("../..", dirs, []*analysis.Analyzer{pubfreeze.Analyzer}, &out)

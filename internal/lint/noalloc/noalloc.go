@@ -4,7 +4,7 @@
 // pins (testing.AllocsPerRun in deepsets/alloc_test.go) catch regressions
 // on the inputs they run; this analyzer catches them on every path, at
 // lint time, with a call-chain trace — a helper extracted from
-// Predictor32.Predict cannot silently reintroduce an allocation.
+// Delta.Count cannot silently reintroduce an allocation.
 //
 // Allocating constructs: make, new, append, escaping composite literals
 // (slice/map literals and address-taken &T{...}; plain struct literals
@@ -24,14 +24,14 @@
 //
 //   - capacity-guarded growth: make/append under an if whose condition
 //     consults cap(...) — the amortised grow-once buffer idiom
-//     (Predictor32.pooledLSE, PredictBatch),
+//     (Predictor.pooledLSE, PredictBatch),
 //   - panic arguments: allocations (fmt.Sprintf above all) inside the
 //     argument of a panic call happen only on the failure path,
 //   - append to a caller-provided parameter slice: the documented
 //     buffer-reuse idiom (compress.Compress appends into the caller's
 //     scratch and returns it).
 //
-// Soundness caveats, documented in DESIGN.md §11: standard-library calls
+// Soundness caveats, documented in DESIGN.md §10: standard-library calls
 // outside the denylist (math, sync, atomic) are assumed allocation-free;
 // sync.Pool.Get allocates on a cold pool (steady-state assumption);
 // variables captured by reference in deferred literals may be
@@ -141,8 +141,8 @@ func run(pass *analysis.Pass) error {
 // finding is one allocating construct reachable from a function, with the
 // call chain (relative to that function) leading to it.
 type finding struct {
-	desc  string   // construct + position, e.g. `make([]float64, n) at deepsets/model32.go:226`
-	steps []string // call chain, outermost call first, e.g. `pooled (deepsets/model32.go:256)`
+	desc  string   // construct + position, e.g. `make([]float64, n) at deepsets/deepsets.go:389`
+	steps []string // call chain, outermost call first, e.g. `pooled (deepsets/deepsets.go:425)`
 }
 
 // fnSummary is the bottom-up noalloc summary of one function.
@@ -230,7 +230,7 @@ func (c *checker) summarize(d summary.Fn, depth int) fnSummary {
 
 // callEdge is one resolved module-local call out of a function.
 type callEdge struct {
-	step   string // `pooled (deepsets/model32.go:256)`
+	step   string // `pooled (deepsets/deepsets.go:425)`
 	callee summary.Fn
 }
 

@@ -22,9 +22,9 @@
 // any method (directly or through helpers) mutating its pointer receiver
 // is a finding, whether or not a publish site is in view. The repo uses
 // it for types whose only live instances sit behind an atomic.Pointer
-// (calibration curves, fast-path option blocks).
+// (fast-path option blocks).
 //
-// Soundness caveats (DESIGN.md §13): values that escape through Load are
+// Soundness caveats (DESIGN.md §12): values that escape through Load are
 // the reader's business and are not tracked (the insert path's documented
 // delta-append through a Loaded snapshot stays legal); aliases created
 // before the Store are not tracked through the alias; function literals

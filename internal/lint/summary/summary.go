@@ -213,7 +213,7 @@ func (m *Memo) Set(fn *types.Func, v any) {
 }
 
 // FormatPos renders pos compactly for diagnostic traces: the file's last
-// two path elements plus the line, e.g. "nn/infer32.go:87".
+// two path elements plus the line, e.g. "nn/dense.go:126".
 func FormatPos(fset *token.FileSet, pos token.Pos) string {
 	p := fset.Position(pos)
 	dir, file := filepath.Split(p.Filename)

@@ -32,7 +32,7 @@
 //     field paths the function already validated (the parse-and-check
 //     header-loader idiom), so only the unvalidated fields stay hot.
 //
-// Limitations (documented in DESIGN.md §11): function literals are not
+// Limitations (documented in DESIGN.md §10): function literals are not
 // analyzed; a comparison against another untrusted value satisfies the
 // check (the analyzer verifies presence, not sufficiency); taint through
 // maps, channels, and globals is not tracked; under the vet unitchecker

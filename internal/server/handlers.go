@@ -181,10 +181,9 @@ func (s *Server) handleMember() http.HandlerFunc {
 
 // statusResponse describes the serving state for /v1/status.
 type statusResponse struct {
-	Structures map[string]bool   `json:"structures"` // endpoint name → loaded
-	Precision  map[string]string `json:"precision"`  // endpoint name → serving precision (f64|f32)
-	Mutable    []string          `json:"mutable"`    // structures /v1/insert appends to
-	Endpoints  []string          `json:"endpoints"`
+	Structures map[string]bool `json:"structures"` // endpoint name → loaded
+	Mutable    []string        `json:"mutable"`    // structures /v1/insert appends to
+	Endpoints  []string        `json:"endpoints"`
 }
 
 func (s *Server) handleStatus() http.HandlerFunc {
@@ -193,23 +192,12 @@ func (s *Server) handleStatus() http.HandlerFunc {
 		for _, t := range s.insertTargets() {
 			mutable = append(mutable, t.name)
 		}
-		prec := map[string]string{}
-		if s.st.Estimator != nil {
-			prec["card"] = s.st.Estimator.Precision().String()
-		}
-		if s.st.Index != nil {
-			prec["index"] = s.st.Index.Precision().String()
-		}
-		if s.st.Filter != nil {
-			prec["member"] = s.st.Filter.Precision().String()
-		}
 		writeJSON(w, http.StatusOK, statusResponse{
 			Structures: map[string]bool{
 				"card":   s.st.Estimator != nil,
 				"index":  s.st.Index != nil,
 				"member": s.st.Filter != nil,
 			},
-			Precision: prec,
 			Mutable:   mutable,
 			Endpoints: []string{"/v1/card", "/v1/index", "/v1/member", "/v1/insert", "/v1/status", "/healthz", "/debug/vars", "/debug/pprof/"},
 		})

@@ -383,9 +383,6 @@ func TestStatusHealthAndDebugEndpoints(t *testing.T) {
 		if !st.Structures[name] {
 			t.Fatalf("/v1/status reports %s unloaded: %s", name, body)
 		}
-		if st.Precision[name] != "f64" {
-			t.Fatalf("/v1/status precision[%s] = %q, want f64: %s", name, st.Precision[name], body)
-		}
 	}
 
 	// A request so the expvar counters are non-zero, then verify they are

@@ -45,7 +45,6 @@ type Filter struct {
 	mutation
 	opts *core.FilterOptions // scaled per-shard build options; nil: not retrainable
 	fast atomic.Pointer[core.FastPathOptions]
-	prec atomic.Int32 // core.Precision, remembered and re-applied on retrain
 
 	// hook, when non-nil, runs at the start of every per-shard dispatch.
 	// Test-only; set before use, never concurrently.
@@ -281,20 +280,6 @@ func (f *Filter) EnableFastPath(o core.FastPathOptions) string {
 	}
 	return mode
 }
-
-// SetPrecision switches the serving precision on every shard; remembered
-// and re-applied to retrained shard structures (see Index.SetPrecision).
-func (f *Filter) SetPrecision(p core.Precision) {
-	f.prec.Store(int32(p))
-	for s := 0; s < f.k; s++ {
-		if sh := f.states[s].Load().flt; sh != nil {
-			sh.SetPrecision(p)
-		}
-	}
-}
-
-// Precision reports the container's configured serving precision.
-func (f *Filter) Precision() core.Precision { return core.Precision(f.prec.Load()) }
 
 // PhiStats aggregates the per-shard φ accel counters.
 func (f *Filter) PhiStats() (deepsets.AccelStats, bool) {

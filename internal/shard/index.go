@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"setlearn/internal/calib"
 	"setlearn/internal/core"
 	"setlearn/internal/deepsets"
 	"setlearn/internal/hybrid"
@@ -26,13 +25,6 @@ type indexShard struct {
 	global []int            // local → global position for trained sets
 	delta  *hybrid.Delta    // sets inserted after idx was trained
 	stat   BuildStat
-	// cal is the shard's fitted position-correction curve (nil without
-	// calibration); holdout is its held-out mean absolute position error
-	// with cal applied. The curve is also installed inside idx (whose error
-	// bounds are remeasured with it), so exactness for trained subsets is
-	// preserved; cal rides here for persistence and the retrain refit.
-	cal     *calib.Curve
-	holdout float64
 }
 
 // mutation is the write-side state shared by the three sharded containers.
@@ -94,11 +86,6 @@ type Index struct {
 	mutation
 	opts *core.IndexOptions // scaled per-shard build options; nil: not retrainable
 	fast atomic.Pointer[core.FastPathOptions]
-	prec atomic.Int32 // core.Precision, remembered and re-applied on retrain
-
-	// calQueries is the held-out calibration workload (fixed at build so a
-	// retrain refits deterministically; empty without calibration).
-	calQueries []sets.Set
 
 	// hook, when non-nil, runs at the start of every per-shard dispatch.
 	// Test-only (panic injection); set before use, never concurrently.
@@ -147,11 +134,8 @@ func BuildShardedIndex(c *sets.Collection, o Options, opts core.IndexOptions) (*
 	x.baseLen = c.Len()
 	x.baseSeed = opts.Model.Seed
 	x.nextPos.Store(int64(c.Len()))
-	if o.Calibrate {
-		x.calQueries = calibrationQueries(c, opts.MaxSubset, opts.Model.Seed)
-	}
 	err = runBounded(o.Shards, o.Parallelism, func(s int) error {
-		st, err := x.buildIdxShard(s, subs[s], globals[s], opts, o.Calibrate)
+		st, err := x.buildIdxShard(s, subs[s], globals[s], opts)
 		if err != nil {
 			return err
 		}
@@ -164,11 +148,9 @@ func BuildShardedIndex(c *sets.Collection, o Options, opts core.IndexOptions) (*
 	return x, nil
 }
 
-// buildIdxShard builds one shard's swap unit: train the shard index and,
-// when calibrate is set, fit and install its position-correction curve
-// (which remeasures the index's error bounds, preserving trained-subset
-// exactness). Safe to call concurrently for distinct shards.
-func (x *Index) buildIdxShard(s int, sub *sets.Collection, global []int, so core.IndexOptions, calibrate bool) (*indexShard, error) {
+// buildIdxShard builds one shard's swap unit by training the shard index.
+// Safe to call concurrently for distinct shards.
+func (x *Index) buildIdxShard(s int, sub *sets.Collection, global []int, so core.IndexOptions) (*indexShard, error) {
 	st := &indexShard{
 		sub:    sub,
 		global: global,
@@ -185,11 +167,6 @@ func (x *Index) buildIdxShard(s int, sub *sets.Collection, global []int, so core
 		return nil, fmt.Errorf("shard %d: %w", s, err)
 	}
 	st.idx = idx
-	if calibrate {
-		skip := func(q sets.Set) bool { return x.route.prunes(s, q) }
-		st.cal, st.holdout = fitIndexCal(idx, sub, so.MaxSubset, x.calQueries, skip)
-		st.stat.HoldoutErr = st.holdout
-	}
 	st.stat.BuildSecs = time.Since(t0).Seconds()
 	st.stat.Bytes = idx.SizeBytes()
 	st.stat.MaxError = idx.MaxError()
@@ -412,21 +389,6 @@ func (x *Index) EnableFastPath(o core.FastPathOptions) string {
 	return mode
 }
 
-// SetPrecision switches the serving precision on every shard. The setting
-// is remembered and re-applied to retrained shard structures, so a
-// hot-swapped shard keeps serving at the configured precision.
-func (x *Index) SetPrecision(p core.Precision) {
-	x.prec.Store(int32(p))
-	for s := 0; s < x.k; s++ {
-		if sh := x.states[s].Load().idx; sh != nil {
-			sh.SetPrecision(p)
-		}
-	}
-}
-
-// Precision reports the container's configured serving precision.
-func (x *Index) Precision() core.Precision { return core.Precision(x.prec.Load()) }
-
 // PhiStats aggregates the per-shard φ accel counters.
 func (x *Index) PhiStats() (deepsets.AccelStats, bool) {
 	ps := make([]phiStatser, 0, x.k)
@@ -482,13 +444,11 @@ func (x *Index) ShardStats() []core.ShardStat {
 		st := x.states[s].Load()
 		pending := st.delta.Len()
 		cs := core.ShardStat{
-			Shard:      s,
-			Sets:       len(st.global) + pending,
-			Pending:    pending,
-			Queries:    x.queries[s].Load(),
-			PhiMode:    "off",
-			Calibrated: st.cal != nil,
-			HoldoutErr: st.holdout,
+			Shard:   s,
+			Sets:    len(st.global) + pending,
+			Pending: pending,
+			Queries: x.queries[s].Load(),
+			PhiMode: "off",
 		}
 		if st.idx != nil {
 			cs.Bytes = st.idx.SizeBytes()

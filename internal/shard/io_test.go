@@ -247,14 +247,17 @@ func TestShardedLoadTruncatedNeverPanics(t *testing.T) {
 func FuzzLoadSharded(f *testing.F) {
 	fc := buildIOCorpus(f)
 	_, cardFreq, idxClust := buildIOV3Corpus(f)
+	legacyCard, legacyIndex := legacyCalibratedFixtures(f)
 	f.Add(byte(0), fc.index)
 	f.Add(byte(1), fc.card)
 	f.Add(byte(2), fc.member)
 	f.Add(byte(0), fc.card)
 	f.Add(byte(2), fc.card)
-	f.Add(byte(1), cardFreq) // calibrated freq container, full v3 header
-	f.Add(byte(0), idxClust) // calibrated cluster container, centroid table
-	f.Add(byte(2), cardFreq) // v3 frame against the wrong loader
+	f.Add(byte(1), cardFreq)    // freq container, full v3 header
+	f.Add(byte(0), idxClust)    // cluster container, centroid table
+	f.Add(byte(2), cardFreq)    // v3 frame against the wrong loader
+	f.Add(byte(1), legacyCard)  // v3 header with calibration curves
+	f.Add(byte(0), legacyIndex) // v3 index whose bounds are remeasured
 	f.Add(byte(1), []byte(Magic))
 	f.Add(byte(1), []byte("garbage that is not a container"))
 	f.Fuzz(func(t *testing.T, which byte, data []byte) {

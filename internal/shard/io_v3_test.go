@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -14,11 +16,12 @@ import (
 	"setlearn/internal/sets"
 )
 
-// Version-3 persistence pins: the error-aware sharding state — calibration
-// blobs, partitioner assignment tables, presence bitmaps, support filters —
-// must round-trip byte-identically and reject every corrupted field with an
-// error, never a panic or a container that silently routes/prunes from
-// garbage.
+// Version-3 persistence pins: the error-aware sharding state — partitioner
+// assignment tables, presence bitmaps, support filters — must round-trip
+// byte-identically and reject every corrupted field with an error, never a
+// panic or a container that silently routes/prunes from garbage. Streams
+// written by calibrated builds of earlier releases must keep loading and
+// answering exactly.
 
 var (
 	ioV3Once     sync.Once
@@ -28,16 +31,16 @@ var (
 	ioV3Err      error
 )
 
-// buildIOV3Corpus serializes one calibrated frequency-band estimator and one
-// calibrated embedding-cluster index — the two containers that exercise
-// every v3 header field (curves + held-out workload, frequency table,
-// centroids + pilot parameters, presence bitmaps, support filters).
+// buildIOV3Corpus serializes one frequency-band estimator and one
+// embedding-cluster index — the two containers that exercise every v3
+// header field a build writes (frequency table, centroids + pilot
+// parameters, presence bitmaps, support filters).
 func buildIOV3Corpus(tb testing.TB) (c *sets.Collection, cardFreq, idxClust []byte) {
 	tb.Helper()
 	ioV3Once.Do(func() {
 		ioV3Col = dataset.GenerateSD(60, 20, 71)
 		est, err := BuildShardedEstimator(ioV3Col, Options{
-			Shards: 3, Partitioner: FrequencyBand, Calibrate: true,
+			Shards: 3, Partitioner: FrequencyBand,
 		}, core.EstimatorOptions{Model: ioModel(), MaxSubset: 2, Percentile: 50})
 		if err != nil {
 			ioV3Err = err
@@ -50,7 +53,7 @@ func buildIOV3Corpus(tb testing.TB) (c *sets.Collection, cardFreq, idxClust []by
 		ioV3CardFreq = append([]byte(nil), buf.Bytes()...)
 
 		idx, err := BuildShardedIndex(ioV3Col, Options{
-			Shards: 3, Partitioner: EmbedCluster, Calibrate: true,
+			Shards: 3, Partitioner: EmbedCluster,
 		}, core.IndexOptions{Model: ioModel(), MaxSubset: 2})
 		if err != nil {
 			ioV3Err = err
@@ -68,9 +71,9 @@ func buildIOV3Corpus(tb testing.TB) (c *sets.Collection, cardFreq, idxClust []by
 	return ioV3Col, ioV3CardFreq, ioV3IdxClust
 }
 
-// TestShardedV3GoldenRoundTrip: the calibrated freq/cluster containers
-// save → load → save byte-identically, and the reloaded containers keep
-// their calibration state, routing tables, and exact answers.
+// TestShardedV3GoldenRoundTrip: the freq/cluster containers save → load →
+// save byte-identically, and the reloaded containers keep their routing
+// tables and exact answers.
 func TestShardedV3GoldenRoundTrip(t *testing.T) {
 	c, cardFreq, idxClust := buildIOV3Corpus(t)
 	st := dataset.CollectSubsets(c, 2)
@@ -87,9 +90,6 @@ func TestShardedV3GoldenRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(cardFreq, buf.Bytes()) {
 			t.Fatalf("round trip not byte-identical: %d → %d bytes", len(cardFreq), buf.Len())
-		}
-		if !e.Calibrated() {
-			t.Fatal("reloaded estimator lost its calibration toggle")
 		}
 		if e.route.freq == nil {
 			t.Fatal("reloaded estimator lost its frequency table")
@@ -172,32 +172,8 @@ func TestShardedV3HeaderPins(t *testing.T) {
 		name string
 		mut  func(*containerHeader)
 	}{
-		{"calibration curve X/Y mismatch", func(h *containerHeader) {
-			h.CalX[0] = []float64{1, 2, 3}
-			h.CalY[0] = []float64{1, 2}
-		}},
-		{"calibration curve non-monotone", func(h *containerHeader) {
-			h.CalX[0] = []float64{2, 1}
-			h.CalY[0] = []float64{1, 2}
-		}},
-		{"calibration curve NaN knot", func(h *containerHeader) {
-			h.CalX[0] = []float64{1, 2}
-			h.CalY[0] = []float64{math.NaN(), 2}
-		}},
-		{"held-out error negative", func(h *containerHeader) {
-			h.HoldoutErrs[0] = -1
-		}},
-		{"held-out error NaN", func(h *containerHeader) {
-			h.HoldoutErrs[0] = math.NaN()
-		}},
-		{"calibration query non-canonical", func(h *containerHeader) {
-			h.CalQueries[0] = []uint32{5, 5}
-		}},
-		{"calibration query empty", func(h *containerHeader) {
-			h.CalQueries[0] = []uint32{}
-		}},
 		{"curve rows for wrong shard count", func(h *containerHeader) {
-			h.CalX = h.CalX[:1]
+			h.CalX = [][]float64{{1}} // one legacy curve row for 3 shards
 		}},
 		{"frequency ids not increasing", func(h *containerHeader) {
 			if len(h.FreqIDs) < 2 {
@@ -272,4 +248,94 @@ func TestShardedV3HeaderPins(t *testing.T) {
 			}
 		})
 	}
+}
+
+// legacyCalibratedFixtures reads the committed streams of a calibrated
+// FrequencyBand estimator (MeasureBounds on) and a calibrated EmbedCluster
+// index, written by an earlier release from the buildIOV3Corpus inputs
+// (K=3 over GenerateSD(60, 20, 71), ioModel, MaxSubset 2).
+func legacyCalibratedFixtures(tb testing.TB) (card, index []byte) {
+	tb.Helper()
+	read := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return b
+	}
+	return read("v3-calibrated-card.bin"), read("v3-calibrated-index.bin")
+}
+
+// resave saves a loaded container and returns the bytes.
+func resave(tb testing.TB, save func(io.Writer) error) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestShardedV3LegacyCalibrated: streams from calibrated builds load and
+// serve the plain model path exactly. The index remeasures its error
+// bounds, so every trained subset is found at its first position; the
+// estimator drops the bounds that were measured with the curves applied;
+// and a re-saved stream round-trips byte-identically.
+func TestShardedV3LegacyCalibrated(t *testing.T) {
+	c, _, _ := buildIOV3Corpus(t)
+	card, index := legacyCalibratedFixtures(t)
+
+	t.Run("index", func(t *testing.T) {
+		x, err := LoadShardedIndex(bytes.NewReader(index), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := dataset.CollectSubsetsWithFull(c, x.MaxSubset())
+		for _, key := range st.Keys {
+			q := st.ByKey[key].Set
+			if got, want := x.Lookup(q), c.FirstPosition(q); got != want {
+				t.Fatalf("Lookup(%v) = %d, want first position %d", q, got, want)
+			}
+		}
+		// The loaded bounds are the plain model's: remeasuring moves none.
+		for s := 0; s < x.NumShards(); s++ {
+			sh := x.states[s].Load()
+			if sh.idx == nil {
+				continue
+			}
+			h := sh.idx.Hybrid()
+			maxErr, meanErr := h.MaxError(), h.MeanLocalError()
+			h.RemeasureBounds(dataset.CollectSubsetsWithFull(sh.sub, x.MaxSubset()).IndexSamples())
+			if h.MaxError() != maxErr || h.MeanLocalError() != meanErr {
+				t.Fatalf("shard %d bounds (max %d, mean %g) are not the plain model's (max %d, mean %g)",
+					s, maxErr, meanErr, h.MaxError(), h.MeanLocalError())
+			}
+		}
+		first := resave(t, x.Save)
+		x2, err := LoadShardedIndex(bytes.NewReader(first), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second := resave(t, x2.Save); !bytes.Equal(first, second) {
+			t.Fatalf("re-saved index not byte-identical: %d → %d bytes", len(first), len(second))
+		}
+	})
+
+	t.Run("estimator", func(t *testing.T) {
+		e, err := LoadShardedEstimator(bytes.NewReader(card))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, ok := e.CombinedErrorBound(); ok {
+			t.Fatalf("CombinedErrorBound = %g, ok; want ok=false for calibrated bounds", b)
+		}
+		first := resave(t, e.Save)
+		e2, err := LoadShardedEstimator(bytes.NewReader(first))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second := resave(t, e2.Save); !bytes.Equal(first, second) {
+			t.Fatalf("re-saved estimator not byte-identical: %d → %d bytes", len(first), len(second))
+		}
+	})
 }

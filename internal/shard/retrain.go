@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"setlearn/internal/calib"
 	"setlearn/internal/core"
 	"setlearn/internal/hybrid"
 	"setlearn/internal/sets"
@@ -115,32 +114,17 @@ func (x *Index) RetrainShard(s int) error {
 	if fp := x.fast.Load(); fp != nil {
 		idx.EnableFastPath(*fp)
 	}
-	if p := core.Precision(x.prec.Load()); p != core.F64 {
-		idx.SetPrecision(p)
-	}
-	// A calibrated container recalibrates the swapped shard: the fresh model
-	// has fresh position errors, so the curve is refitted on the persisted
-	// held-out workload (against the merged sub-collection's truths) before
-	// the shard serves — mirroring how precision is re-applied above.
-	var cal *calib.Curve
-	var holdout float64
-	if len(x.calQueries) > 0 {
-		skip := func(q sets.Set) bool { return x.route.prunes(s, q) }
-		cal, holdout = fitIndexCal(idx, sub, x.maxSub, x.calQueries, skip)
-	}
 	stat := BuildStat{
 		Shard: s, Sets: sub.Len(),
-		BuildSecs:  time.Since(t0).Seconds(),
-		Bytes:      idx.SizeBytes(),
-		MaxError:   idx.MaxError(),
-		HoldoutErr: holdout,
+		BuildSecs: time.Since(t0).Seconds(),
+		Bytes:     idx.SizeBytes(),
+		MaxError:  idx.MaxError(),
 	}
 	x.insertMu.Lock()
 	tail := old.delta.Tail(cut)
 	x.states[s].Store(&indexShard{
 		idx: idx, sub: sub, global: global,
 		delta: hybrid.NewDeltaFrom(tail), stat: stat,
-		cal: cal, holdout: holdout,
 	})
 	x.insertMu.Unlock()
 	x.absorbed.Add(uint64(cut))
@@ -183,27 +167,10 @@ func (e *Estimator) RetrainShard(s int) error {
 	if fp := e.fast.Load(); fp != nil {
 		est.EnableFastPath(*fp)
 	}
-	if p := core.Precision(e.prec.Load()); p != core.F64 {
-		est.SetPrecision(p)
-	}
-	// A calibrated container recalibrates the swapped shard on the persisted
-	// held-out workload against the merged sub-collection's truths, so the
-	// curve tracks the fresh model — mirroring the precision re-apply above.
-	// The refit honors the serving toggle: fitted but uninstalled when off.
-	var cal *calib.Curve
-	var holdout float64
-	if len(e.calQueries) > 0 {
-		skip := func(q sets.Set) bool { return e.route.prunes(s, q) }
-		cal, holdout = fitEstimatorCal(est, sub, e.calQueries, skip)
-		if !e.calOn.Load() {
-			est.SetCalibration(nil)
-		}
-	}
 	stat := BuildStat{
 		Shard: s, Sets: sub.Len(),
-		BuildSecs:  time.Since(t0).Seconds(),
-		Bytes:      est.SizeBytes(),
-		HoldoutErr: holdout,
+		BuildSecs: time.Since(t0).Seconds(),
+		Bytes:     est.SizeBytes(),
 	}
 	// The swap and the override folding happen inside one auxMu critical
 	// section: an override reader holds the read lock across its override
@@ -215,7 +182,6 @@ func (e *Estimator) RetrainShard(s int) error {
 	e.states[s].Store(&estShard{
 		est: est, sub: sub, global: global,
 		delta: hybrid.NewDeltaFrom(tail), stat: stat,
-		cal: cal, holdout: holdout,
 	})
 	for key, ov := range e.aux {
 		folded := 0.0
@@ -270,9 +236,6 @@ func (f *Filter) RetrainShard(s int) error {
 	}
 	if fp := f.fast.Load(); fp != nil {
 		flt.EnableFastPath(*fp)
-	}
-	if p := core.Precision(f.prec.Load()); p != core.F64 {
-		flt.SetPrecision(p)
 	}
 	stat := BuildStat{
 		Shard: s, Sets: sub.Len(),
@@ -349,7 +312,6 @@ func (e *Estimator) AttachCollection(c *sets.Collection) error {
 			e.states[s].Store(&estShard{
 				est: st.est, sub: sub, global: st.global,
 				delta: st.delta, stat: st.stat,
-				cal: st.cal, holdout: st.holdout,
 			})
 			return nil
 		})
