@@ -18,18 +18,18 @@ import (
 //
 // Layout. Entries live in four parallel append-only arrays instead of one
 // separately allocated set per entry: sig[i] is entry i's 64-bit signature
-// (bit sigBit(id) set for each of its ids), pos[i] its global position, and
-// its ids sit back to back in one element arena, elems[off[i]:off[i+1]].
+// (sets.Signature), pos[i] its global position, and its ids sit back to
+// back in one element arena, elems[off[i]:off[i+1]].
 // Add copies the set into the arena, so callers may reuse theirs.
 //
 // Reads. A read computes sig(q) once and runs the exact ContainsAll merge
 // only on entries whose signature covers it (sig[i]&sig(q) == sig(q));
 // equality lookups further require sig[i] == sig(q) before Equal. The
-// filter has no false negatives: q ⊆ s implies sig(q) ⊆ sig(s), and s = q
-// implies sig(s) = sig(q), so every true hit survives it and counts,
-// first positions and membership stay exact. A read on an empty delta
-// returns before hashing. Cost is still O(len(delta)) word tests, but the
-// merge runs only on entries sharing every signature bit of q.
+// filter has no false negatives (see sets.Signature), so every true hit
+// survives it and counts, first positions and membership stay exact. A
+// read on an empty delta returns before hashing. Cost is still
+// O(len(delta)) word tests, but the merge runs only on entries sharing
+// every signature bit of q.
 //
 // Reads take the read lock only, so concurrent queries never serialize on
 // each other; Add is the only writer. Entries are never removed or
@@ -40,7 +40,7 @@ import (
 // stable after later Adds.
 type Delta struct {
 	mu    sync.RWMutex
-	sig   []uint64  // per entry: OR of sigBit over its ids
+	sig   []uint64  // per entry: sets.Signature of its ids
 	pos   []int     // per entry: global position
 	off   []uint32  // len(pos)+1 once non-empty: entry i is elems[off[i]:off[i+1]]
 	elems []uint32  // every entry's ids, back to back
@@ -54,22 +54,6 @@ type Delta struct {
 type DeltaEntry struct {
 	Pos int
 	Set sets.Set
-}
-
-// sigBit maps an element id to one of the 64 signature bits by
-// multiplicative (Fibonacci) hashing, which spreads the small, dense ids of
-// a Zipf head over distinct bits.
-func sigBit(id uint32) uint64 {
-	return 1 << ((uint64(id) * 0x9E3779B97F4A7C15) >> 58)
-}
-
-// signature returns the OR of sigBit over the ids of s.
-func signature(s sets.Set) uint64 {
-	var sig uint64
-	for _, id := range s {
-		sig |= sigBit(id)
-	}
-	return sig
 }
 
 // NewDelta returns an empty delta.
@@ -98,7 +82,7 @@ func (d *Delta) appendEntry(s sets.Set, pos int) {
 	if len(d.off) == 0 {
 		d.off = append(d.off, 0)
 	}
-	d.sig = append(d.sig, signature(s))
+	d.sig = append(d.sig, sets.Signature(s))
 	d.pos = append(d.pos, pos)
 	d.elems = append(d.elems, s...)
 	d.off = append(d.off, uint32(len(d.elems)))
@@ -184,7 +168,7 @@ func (d *Delta) FirstPos(q sets.Set, equal bool) int {
 	if len(d.pos) == 0 {
 		return -1
 	}
-	qs := signature(q)
+	qs := sets.Signature(q)
 	best := -1
 	for i, s := range d.sig {
 		if s&qs != qs || (equal && s != qs) {
@@ -218,7 +202,7 @@ func (d *Delta) Count(q sets.Set) float64 {
 	if len(d.pos) == 0 {
 		return 0
 	}
-	qs := signature(q)
+	qs := sets.Signature(q)
 	n := 0
 	for i, s := range d.sig {
 		if s&qs == qs && d.entry(i).ContainsAll(q) {
@@ -241,7 +225,7 @@ func (d *Delta) Contains(q sets.Set) bool {
 	if len(d.pos) == 0 {
 		return false
 	}
-	qs := signature(q)
+	qs := sets.Signature(q)
 	for i, s := range d.sig {
 		if s&qs == qs && d.entry(i).ContainsAll(q) {
 			return true

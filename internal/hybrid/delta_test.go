@@ -260,8 +260,9 @@ func checkOracle(t *testing.T, name string, d *Delta, o *naiveDelta, queries []s
 // bit equals that of target, so sets built from them share signatures.
 func collidingIDs(target, from uint32, n int) []uint32 {
 	var out []uint32
+	bit := sets.Signature(sets.Set{target})
 	for id := from; len(out) < n; id++ {
-		if id != target && sigBit(id) == sigBit(target) {
+		if id != target && sets.Signature(sets.Set{id}) == bit {
 			out = append(out, id)
 		}
 	}
@@ -339,8 +340,8 @@ func TestDeltaDifferential(t *testing.T) {
 				qs = append(qs, sets.New(col[i]), sets.New(col[i], col[j]))
 			}
 		}
-		// Same signature, different sets: {a, x} vs {b, x} with sigBit(a) ==
-		// sigBit(b).
+		// Same signature, different sets: {a, x} vs {b, x} where a and b
+		// set the same signature bit.
 		x := uint32(1000)
 		es = append(es, sets.New(col[0], x))
 		ps = append(ps, 999)

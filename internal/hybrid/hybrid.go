@@ -17,14 +17,21 @@ import (
 )
 
 // Index is the hybrid learned set index. Queries are safe for concurrent
-// use: the model, scaler, and error bounds are read-only after build, the
-// predictor pool hands each goroutine its own scratch, and the auxiliary
-// structure (the only state InsertOutlier mutates) is guarded by auxMu.
+// use: the model, scaler, error bounds and signature column are read-only
+// after build, the predictor pool hands each goroutine its own scratch, and
+// the auxiliary structure (the only state InsertOutlier mutates) is guarded
+// by auxMu.
 type Index struct {
 	collection *sets.Collection
-	model      *deepsets.Model
-	scaler     train.Scaler
-	pred       *deepsets.PredictorPool
+	// sigs[i] is sets.Signature of the collection's set i, for the sets
+	// present at build or load. It lives here rather than in the collection
+	// because callers append to Collection.Sets directly (§7.2 updates);
+	// positions at or past len(sigs) are scanned without it.
+	sigs []uint64
+
+	model  *deepsets.Model
+	scaler train.Scaler
+	pred   *deepsets.PredictorPool
 
 	auxMu sync.RWMutex
 	aux   *bptree.Tree // outlier subsets: permutation-invariant hash → first position
@@ -63,6 +70,7 @@ func BuildIndex(c *sets.Collection, m *deepsets.Model, sc train.Scaler, res *tra
 	}
 	idx := &Index{
 		collection: c,
+		sigs:       sigColumn(c),
 		model:      m,
 		scaler:     sc,
 		pred:       m.NewPredictorPool(),
@@ -88,6 +96,15 @@ func BuildIndex(c *sets.Collection, m *deepsets.Model, sc train.Scaler, res *tra
 		}
 	}
 	return idx, nil
+}
+
+// sigColumn returns sets.Signature of every set in c, in order.
+func sigColumn(c *sets.Collection) []uint64 {
+	sigs := make([]uint64, c.Len())
+	for i, s := range c.Sets {
+		sigs[i] = sets.Signature(s)
+	}
+	return sigs
 }
 
 func (idx *Index) rangeOf(pos int) int {
@@ -194,15 +211,43 @@ func (idx *Index) auxAnswer(q sets.Set, equal bool) (pos int, done bool) {
 // equality scan.
 func (idx *Index) scanFromEstimate(q sets.Set, est int, equal bool) int {
 	e := idx.errors[idx.rangeOf(est)]
-	if !equal {
-		return idx.collection.FirstPositionInRange(q, est-e, est+e)
+	hi := est + e
+	if equal {
+		hi = idx.collection.Len() - 1
 	}
-	lo := est - e
-	if lo < 0 {
-		lo = 0
+	return idx.firstInRange(q, est-e, hi, equal)
+}
+
+// firstInRange returns the first position i in [lo, hi], clamped to the
+// collection, whose set contains q (equals q, when equal is set), or -1.
+// Where position i has a signature it runs the exact merge only if sigs[i]
+// covers Signature(q) (equals it, for equality); that skips most positions
+// at the cost of one word test and never skips a hit (see sets.Signature).
+// Positions appended after build or load take the plain merge. q must be
+// non-empty: Signature(∅) = 0 covers every set.
+//
+//lint:hotpath
+func (idx *Index) firstInRange(q sets.Set, lo, hi int, equal bool) int {
+	ss := idx.collection.Sets
+	lo, hi = max(lo, 0), min(hi, len(ss)-1)
+	qs := sets.Signature(q)
+	if end := min(hi+1, len(idx.sigs)); lo < end {
+		if equal {
+			for j, s := range idx.sigs[lo:end] {
+				if s == qs && ss[lo+j].Equal(q) {
+					return lo + j
+				}
+			}
+		} else {
+			for j, s := range idx.sigs[lo:end] {
+				if s&qs == qs && ss[lo+j].ContainsAll(q) {
+					return lo + j
+				}
+			}
+		}
 	}
-	for i := lo; i < idx.collection.Len(); i++ {
-		if idx.collection.At(i).Equal(q) {
+	for i := max(lo, len(idx.sigs)); i <= hi; i++ {
+		if (equal && ss[i].Equal(q)) || (!equal && ss[i].ContainsAll(q)) {
 			return i
 		}
 	}
@@ -212,8 +257,11 @@ func (idx *Index) scanFromEstimate(q sets.Set, est int, equal bool) int {
 // Lookup implements Algorithm 2: consult the auxiliary structure first,
 // otherwise predict a position and scan the window bounded by the local
 // error of the predicted range. It returns the first position i with
-// q ⊆ S[i], or -1 if the query is not found within the bounds.
+// q ⊆ S[i], or -1 if the query is empty or not found within the bounds.
 func (idx *Index) Lookup(q sets.Set) int {
+	if len(q) == 0 {
+		return -1
+	}
 	if pos, done := idx.auxAnswer(q, false); done {
 		return pos
 	}
@@ -271,8 +319,11 @@ func (idx *Index) LookupBatch(dst []int, qs []sets.Set, equal bool) []int {
 // covers q's first *subset* occurrence, which precedes or equals its first
 // exact occurrence; when a proper superset shadows the exact match beyond
 // the window, the scan continues rightward, trading the latency bound for
-// correctness on that rare path.
+// correctness on that rare path. An empty query returns -1.
 func (idx *Index) LookupEqual(q sets.Set) int {
+	if len(q) == 0 {
+		return -1
+	}
 	if pos, done := idx.auxAnswer(q, true); done {
 		return pos
 	}
@@ -285,6 +336,9 @@ func (idx *Index) LookupEqual(q sets.Set) int {
 // LookupGlobalBound is Lookup using the single global error bound instead of
 // the per-range bounds — the baseline of the §8.3.3 comparison.
 func (idx *Index) LookupGlobalBound(q sets.Set) int {
+	if len(q) == 0 {
+		return -1
+	}
 	if pos, done := idx.auxAnswer(q, false); done {
 		return pos
 	}
@@ -292,17 +346,20 @@ func (idx *Index) LookupGlobalBound(q sets.Set) int {
 		return -1
 	}
 	est := idx.estimatePos(q)
-	return idx.collection.FirstPositionInRange(q, est-idx.maxErr, est+idx.maxErr)
+	return idx.firstInRange(q, est-idx.maxErr, est+idx.maxErr, false)
 }
 
-// WindowSize returns the scan window the index would use for q — the cost
-// proxy reported in the local-vs-global experiment.
+// WindowSize returns the number of positions the subset scan for q can
+// examine, its error window clamped to the collection — the cost proxy
+// reported in the local-vs-global experiment. It is 0 for an empty or
+// out-of-vocabulary query, which never reaches the scan.
 func (idx *Index) WindowSize(q sets.Set) int {
-	if !inVocab(idx.model, q) {
+	if len(q) == 0 || !inVocab(idx.model, q) {
 		return 0
 	}
 	est := idx.estimatePos(q)
-	return 2*idx.errors[idx.rangeOf(est)] + 1
+	e := idx.errors[idx.rangeOf(est)]
+	return min(idx.collection.Len()-1, est+e) - max(0, est-e) + 1
 }
 
 // Model returns the underlying learned model, e.g. to attach a φ
@@ -349,10 +406,11 @@ func (idx *Index) MemoryBreakdown() (model, aux, errs int) {
 	return idx.model.SizeBytes(), auxBytes, 8 * len(idx.errors)
 }
 
-// SizeBytes returns the total structure footprint.
+// SizeBytes returns the total structure footprint: the Table 7 breakdown
+// plus the signature column.
 func (idx *Index) SizeBytes() int {
 	m, a, e := idx.MemoryBreakdown()
-	return m + a + e
+	return m + a + e + 8*len(idx.sigs)
 }
 
 // Estimator is the hybrid cardinality estimator: exact answers for evicted
@@ -385,8 +443,12 @@ func BuildEstimator(m *deepsets.Model, sc train.Scaler, res *train.GuidedResult)
 
 // Estimate returns the cardinality estimate for q: exact if q was evicted
 // as an outlier, the model's prediction otherwise (§6: "querying for
-// cardinality … requires only the prediction of the model").
+// cardinality … requires only the prediction of the model"). An empty
+// query returns 0.
 func (e *Estimator) Estimate(q sets.Set) float64 {
+	if len(q) == 0 {
+		return 0
+	}
 	e.auxMu.RLock()
 	card, ok := e.aux[q.Key()]
 	e.auxMu.RUnlock()

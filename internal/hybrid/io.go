@@ -113,6 +113,7 @@ func LoadIndex(r io.Reader, c *sets.Collection) (*Index, error) {
 	}
 	idx := &Index{
 		collection: c,
+		sigs:       sigColumn(c),
 		model:      m,
 		scaler:     hdr.Scaler,
 		pred:       m.NewPredictorPool(),

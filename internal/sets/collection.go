@@ -41,8 +41,9 @@ func (c *Collection) FirstPosition(q Set) int {
 	return -1
 }
 
-// FirstPositionInRange scans positions [lo, hi] only, the bounded local
-// search of the hybrid index (Algorithm 2).
+// FirstPositionInRange scans positions [lo, hi] only — the reference
+// semantics of the hybrid index's bounded local search (Algorithm 2),
+// which the index's signature-filtered scan must reproduce.
 func (c *Collection) FirstPositionInRange(q Set, lo, hi int) int {
 	if lo < 0 {
 		lo = 0

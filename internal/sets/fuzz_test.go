@@ -59,6 +59,18 @@ func FuzzSetCanonical(f *testing.F) {
 		if s.Key() != again.Key() || s.Hash() != again.Hash() {
 			t.Fatal("canonical form not a fixed point")
 		}
+		// Signature must not depend on order or duplicates, and must cover
+		// the signature of every subset: the scans that skip a set when its
+		// signature misses a query bit rely on it.
+		sig := Signature(s)
+		if Signature(again) != sig || Signature(Set(ids)) != sig {
+			t.Fatalf("Signature not stable under re-canonicalization: %v", s)
+		}
+		for k := range s {
+			if Signature(s[:k])&^sig != 0 || Signature(s[k:k+1])&^sig != 0 {
+				t.Fatalf("Signature(%v) does not cover its subsets at %d", s, k)
+			}
+		}
 		// Every input id must be present.
 		for _, id := range ids {
 			if !s.Contains(id) {

@@ -157,6 +157,21 @@ func (s Set) Hash() uint64 {
 	return h
 }
 
+// Signature returns a 64-bit superimposed code for s: the OR over its ids
+// of one bit each, picked by multiplicative (Fibonacci) hashing, which
+// spreads the small, dense ids of a Zipf head over distinct bits. q ⊆ s
+// implies Signature(q)&^Signature(s) == 0, and q = s implies equal
+// signatures, so one word test rules out most non-supersets before an
+// exact merge and never rules out a true one. Signature(∅) is 0, which
+// every signature covers.
+func Signature(s Set) uint64 {
+	var sig uint64
+	for _, id := range s {
+		sig |= 1 << ((uint64(id) * 0x9E3779B97F4A7C15) >> 58)
+	}
+	return sig
+}
+
 // String renders the set for diagnostics.
 func (s Set) String() string {
 	return fmt.Sprintf("%v", []uint32(s))
