@@ -3,7 +3,9 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"strconv"
 	"time"
 
 	"setlearn/internal/sets"
@@ -13,15 +15,6 @@ import (
 // larger workloads should be split client-side so one request cannot
 // monopolize the server.
 const maxBatch = 4096
-
-// queryRequest is the shared request body of every /v1 endpoint. Exactly
-// one of Query (single) or Queries (batch) must be present. Equal selects
-// the §4.1 equality search and is honored by /v1/index only.
-type queryRequest struct {
-	Query   []uint32   `json:"query,omitempty"`
-	Queries [][]uint32 `json:"queries,omitempty"`
-	Equal   bool       `json:"equal,omitempty"`
-}
 
 // errorResponse is the JSON body of every non-2xx answer.
 type errorResponse struct {
@@ -40,49 +33,6 @@ func badRequest(format string, args ...any) *apiError {
 	return &apiError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// decodeRequest parses and validates a request body into canonical query
-// sets. It returns the queries and whether the request was a batch.
-func decodeRequest(r *http.Request) (*queryRequest, []sets.Set, bool, *apiError) {
-	if r.Method != http.MethodPost {
-		return nil, nil, false, &apiError{
-			status: http.StatusMethodNotAllowed,
-			msg:    fmt.Sprintf("method %s not allowed; POST a JSON body", r.Method),
-		}
-	}
-	var req queryRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, false, badRequest("bad request body: %v", err)
-	}
-	switch {
-	case req.Query != nil && req.Queries != nil:
-		return nil, nil, false, badRequest(`provide exactly one of "query" or "queries"`)
-	case req.Query != nil:
-		if len(req.Query) == 0 {
-			return nil, nil, false, badRequest("query must be non-empty")
-		}
-		return &req, []sets.Set{sets.New(req.Query...)}, false, nil
-	case req.Queries != nil:
-		if len(req.Queries) == 0 {
-			return nil, nil, false, badRequest("queries must be non-empty")
-		}
-		if len(req.Queries) > maxBatch {
-			return nil, nil, false, badRequest("batch of %d exceeds limit %d", len(req.Queries), maxBatch)
-		}
-		qs := make([]sets.Set, len(req.Queries))
-		for i, ids := range req.Queries {
-			if len(ids) == 0 {
-				return nil, nil, false, badRequest("query %d must be non-empty", i)
-			}
-			qs[i] = sets.New(ids...)
-		}
-		return &req, qs, true, nil
-	default:
-		return nil, nil, false, badRequest(`provide "query" (single) or "queries" (batch)`)
-	}
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -94,9 +44,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // handling. singleField and batchField name the JSON response keys; maxID
 // bounds the element ids the structure's model accepts — queries carrying a
 // larger id are rejected with 400 up front, so out-of-vocabulary ids never
-// reach (and can never panic) the inference path; answerBatch resolves the
-// whole validated batch through the fused PredictBatch fast path.
-func (s *Server) handleQuery(name, singleField, batchField string, ready func() bool, maxID func() uint32, answerBatch func(qs []sets.Set, equal bool) []any) http.HandlerFunc {
+// reach (and can never panic) the inference path; answer resolves the whole
+// validated batch through the fused PredictBatch fast path and appends the
+// response field to b with appendField, or fails before any byte is sent.
+func (s *Server) handleQuery(name, singleField, batchField string, ready func() bool, maxID func() uint32,
+	answer func(b []byte, field string, batch bool, qs []sets.Set, equal bool) ([]byte, *apiError)) http.HandlerFunc {
 	m := metricsFor(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -107,7 +59,7 @@ func (s *Server) handleQuery(name, singleField, batchField string, ready func() 
 				errorResponse{Error: name + " structure not loaded"})
 			return
 		}
-		req, qs, batch, apiErr := decodeRequest(r)
+		qs, batch, equal, apiErr := decodeRequest(w, r, "query", "queries", true)
 		if apiErr != nil {
 			m.errors.Add(1)
 			writeJSON(w, apiErr.status, errorResponse{Error: apiErr.msg})
@@ -125,12 +77,17 @@ func (s *Server) handleQuery(name, singleField, batchField string, ready func() 
 			}
 		}
 		m.queries.Add(int64(len(qs)))
-		out := answerBatch(qs, req.Equal)
+		field := singleField
 		if batch {
-			writeJSON(w, http.StatusOK, map[string]any{batchField: out})
-		} else {
-			writeJSON(w, http.StatusOK, map[string]any{singleField: out[0]})
+			field = batchField
 		}
+		b, apiErr := answer(append(make([]byte, 0, 32+24*len(qs)), '{'), field, batch, qs, equal)
+		if apiErr != nil {
+			m.errors.Add(1)
+			writeJSON(w, apiErr.status, errorResponse{Error: apiErr.msg})
+			return
+		}
+		writeAnswer(w, append(b, "}\n"...))
 		m.observe(time.Since(start))
 	}
 }
@@ -139,13 +96,17 @@ func (s *Server) handleCard() http.HandlerFunc {
 	return s.handleQuery("card", "estimate", "estimates",
 		func() bool { return s.st.Estimator != nil },
 		func() uint32 { return s.st.Estimator.MaxID() },
-		func(qs []sets.Set, _ bool) []any {
+		func(b []byte, field string, batch bool, qs []sets.Set, _ bool) ([]byte, *apiError) {
 			ests := s.st.Estimator.EstimateBatch(nil, qs)
-			out := make([]any, len(ests))
+			// JSON has no NaN or infinity; such an estimate is a server
+			// fault, reported before the 200 header is written.
 			for i, v := range ests {
-				out[i] = v
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return nil, &apiError{status: http.StatusInternalServerError,
+						msg: fmt.Sprintf("query %d: estimate %v is not finite", i, v)}
+				}
 			}
-			return out
+			return appendField(b, field, batch, ests, appendFloat), nil
 		})
 }
 
@@ -153,13 +114,8 @@ func (s *Server) handleIndex() http.HandlerFunc {
 	return s.handleQuery("index", "position", "positions",
 		func() bool { return s.st.Index != nil },
 		func() uint32 { return s.st.Index.MaxID() },
-		func(qs []sets.Set, equal bool) []any {
-			poss := s.st.Index.LookupBatch(nil, qs, equal)
-			out := make([]any, len(poss))
-			for i, v := range poss {
-				out[i] = v
-			}
-			return out
+		func(b []byte, field string, batch bool, qs []sets.Set, equal bool) ([]byte, *apiError) {
+			return appendField(b, field, batch, s.st.Index.LookupBatch(nil, qs, equal), appendInt), nil
 		})
 }
 
@@ -167,15 +123,10 @@ func (s *Server) handleMember() http.HandlerFunc {
 	return s.handleQuery("member", "member", "members",
 		func() bool { return s.st.Filter != nil },
 		func() uint32 { return s.st.Filter.MaxID() },
-		func(qs []sets.Set, _ bool) []any {
+		func(b []byte, field string, batch bool, qs []sets.Set, _ bool) ([]byte, *apiError) {
 			// One worker: HTTP concurrency already fans out across requests,
 			// and the serial path batches model evaluations.
-			ms := s.st.Filter.ContainsBatch(qs, 1)
-			out := make([]any, len(ms))
-			for i, v := range ms {
-				out[i] = v
-			}
-			return out
+			return appendField(b, field, batch, s.st.Filter.ContainsBatch(qs, 1), strconv.AppendBool), nil
 		})
 }
 

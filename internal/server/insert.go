@@ -1,21 +1,12 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
 
 	"setlearn/internal/core"
-	"setlearn/internal/sets"
 )
-
-// insertRequest is the body of /v1/insert. Exactly one of Set (single) or
-// Sets (batch) must be present; each set is canonicalized like a query.
-type insertRequest struct {
-	Set  []uint32   `json:"set,omitempty"`
-	Sets [][]uint32 `json:"sets,omitempty"`
-}
 
 // insertTarget pairs a mutable structure with its endpoint name and
 // vocabulary ceiling.
@@ -50,49 +41,6 @@ func (s *Server) insertTargets() []insertTarget {
 	return ts
 }
 
-// decodeInsert parses and validates an insert body into canonical sets,
-// mirroring decodeRequest's rules for queries.
-func decodeInsert(r *http.Request) ([]sets.Set, bool, *apiError) {
-	if r.Method != http.MethodPost {
-		return nil, false, &apiError{
-			status: http.StatusMethodNotAllowed,
-			msg:    fmt.Sprintf("method %s not allowed; POST a JSON body", r.Method),
-		}
-	}
-	var req insertRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, false, badRequest("bad request body: %v", err)
-	}
-	switch {
-	case req.Set != nil && req.Sets != nil:
-		return nil, false, badRequest(`provide exactly one of "set" or "sets"`)
-	case req.Set != nil:
-		if len(req.Set) == 0 {
-			return nil, false, badRequest("set must be non-empty")
-		}
-		return []sets.Set{sets.New(req.Set...)}, false, nil
-	case req.Sets != nil:
-		if len(req.Sets) == 0 {
-			return nil, false, badRequest("sets must be non-empty")
-		}
-		if len(req.Sets) > maxBatch {
-			return nil, false, badRequest("batch of %d exceeds limit %d", len(req.Sets), maxBatch)
-		}
-		ss := make([]sets.Set, len(req.Sets))
-		for i, ids := range req.Sets {
-			if len(ids) == 0 {
-				return nil, false, badRequest("set %d must be non-empty", i)
-			}
-			ss[i] = sets.New(ids...)
-		}
-		return ss, true, nil
-	default:
-		return nil, false, badRequest(`provide "set" (single) or "sets" (batch)`)
-	}
-}
-
 // handleInsert serves POST /v1/insert: each set is appended to the logical
 // collection of every mutable structure and is answerable the moment the
 // response is written (served from the per-shard delta until a retrain
@@ -123,7 +71,7 @@ func (s *Server) handleInsert() http.HandlerFunc {
 				errorResponse{Error: "no mutable structure loaded"})
 			return
 		}
-		ss, batch, apiErr := decodeInsert(r)
+		ss, batch, _, apiErr := decodeRequest(w, r, "set", "sets", false)
 		if apiErr != nil {
 			m.errors.Add(1)
 			writeJSON(w, apiErr.status, errorResponse{Error: apiErr.msg})
@@ -146,22 +94,28 @@ func (s *Server) handleInsert() http.HandlerFunc {
 			}
 		}
 		m.queries.Add(int64(len(ss)))
-		applied := make([]string, len(targets))
-		for i, t := range targets {
-			applied[i] = t.name
-		}
-		positions := make([]any, len(ss))
+		positions := make([]int, len(ss))
 		for i, q := range ss {
 			positions[i] = targets[0].ins.InsertSet(q)
 			for _, t := range targets[1:] {
 				t.ins.InsertSet(q)
 			}
 		}
-		if batch {
-			writeJSON(w, http.StatusOK, map[string]any{"positions": positions, "applied": applied})
-		} else {
-			writeJSON(w, http.StatusOK, map[string]any{"position": positions[0], "applied": applied})
+		// applied comes first, in the sorted key order encoding/json gave a
+		// map, so clients see the same bytes as before.
+		b := append(make([]byte, 0, 64+12*len(ss)), `{"applied":[`...)
+		for i, t := range targets {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(append(append(b, '"'), t.name...), '"')
 		}
+		field := "position"
+		if batch {
+			field = "positions"
+		}
+		b = appendField(append(b, "],"...), field, batch, positions, appendInt)
+		writeAnswer(w, append(b, "}\n"...))
 		m.observe(time.Since(start))
 	}
 }

@@ -17,6 +17,14 @@
 //	/healthz    liveness probe
 //	/debug/vars expvar counters and latency histograms per endpoint
 //	/debug/pprof/ runtime profiling
+//
+// The /v1 query and insert bodies are decoded and their answers encoded by
+// the codec in wire.go, without encoding/json: parseSets documents the
+// request grammar, and answers are byte-for-byte what encoding/json would
+// write. Bodies are capped at 4 MiB. Errors answer {"error":"…"} with 400
+// (malformed or out-of-vocabulary), 405 (not POST), 413 (body too large),
+// 500 (an estimate that is NaN or infinite) or 503 (structure not loaded,
+// or an insert while draining).
 package server
 
 import (

@@ -284,6 +284,16 @@ func TestRequestValidation(t *testing.T) {
 		{"neither form", `{}`, 400},
 		{"unknown field", `{"q":[1]}`, 400},
 		{"ok", `{"query":[1]}`, 200},
+		{"case-folded key", `{"QUERY":[1]}`, 200},
+		{"repeated key, last wins", `{"query":[],"query":[1]}`, 200},
+		{"repeated key, last loses", `{"query":[1],"query":[]}`, 400},
+		{"data after the object", `{"query":[1]} {}`, 400},
+		{"null element id", `{"query":[27,43,20],"query":[null,39,8,36]}`, 400},
+		{"escaped key", `{"\u0071uery":[1]}`, 400},
+		{"body over maxBody", `{"query":[1]}` + strings.Repeat(" ", maxBody+1-len(`{"query":[1]}`)), 413},
+		// The 413 closes its connection; the client dials a fresh one.
+		{"ok after 413", `{"query":[1]}`, 200},
+		{"body of exactly maxBody", `{"query":[1]}` + strings.Repeat(" ", maxBody-len(`{"query":[1]}`)), 200},
 	}
 	for _, tc := range cases {
 		if got := post(tc.body); got != tc.want {

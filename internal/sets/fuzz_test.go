@@ -38,7 +38,8 @@ func FuzzReadCollection(f *testing.F) {
 	})
 }
 
-// FuzzSetCanonical checks New's invariants under arbitrary id lists.
+// FuzzSetCanonical checks the invariants of New and Canonicalize under
+// arbitrary id lists.
 func FuzzSetCanonical(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 2, 1})
 	f.Add([]byte{})
@@ -53,6 +54,16 @@ func FuzzSetCanonical(f *testing.F) {
 			if s[i] <= s[i-1] {
 				t.Fatalf("not strictly sorted: %v", s)
 			}
+		}
+		// Canonicalize on a copy must agree with New, and its result must be
+		// capped at its length so appends cannot spill into the caller's
+		// array.
+		c := Canonicalize(append([]uint32(nil), ids...))
+		if !c.Equal(s) {
+			t.Fatalf("Canonicalize = %v, New = %v", c, s)
+		}
+		if cap(c) != len(c) || cap(s) != len(s) {
+			t.Fatalf("cap != len: Canonicalize %d/%d, New %d/%d", cap(c), len(c), cap(s), len(s))
 		}
 		// Key and Hash must be stable under re-canonicalization.
 		again := New(append([]uint32(nil), s...)...)

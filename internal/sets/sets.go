@@ -7,6 +7,7 @@ package sets
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -15,17 +16,20 @@ import (
 type Set []uint32
 
 // New builds a canonical Set from ids in any order, dropping duplicates.
+// ids is not modified.
 func New(ids ...uint32) Set {
-	s := make(Set, len(ids))
+	s := make([]uint32, len(ids))
 	copy(s, ids)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	return Canonicalize(s)
+}
+
+// Canonicalize sorts ids in place, drops duplicates and returns the result
+// as a Set sharing ids' backing array. The Set's capacity equals its
+// length, so appending to it never writes into the rest of that array.
+func Canonicalize(ids []uint32) Set {
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	return Set(ids[:len(ids):len(ids)])
 }
 
 // FromSorted wraps ids, which the caller guarantees to already be sorted
