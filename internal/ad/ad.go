@@ -235,46 +235,6 @@ func (t *Tape) MaxPool(parts []*Node) *Node {
 	return out
 }
 
-// LogSumExpPool records y = log Σᵢ exp(aᵢ) elementwise with max-shift
-// stabilization — the smooth maximum pooling mentioned in §3.2.
-func (t *Tape) LogSumExpPool(parts []*Node) *Node {
-	if len(parts) == 0 {
-		panic("ad: LogSumExpPool over empty slice")
-	}
-	n := parts[0].Len()
-	out := t.newNode(n)
-	maxes := make([]float64, n)
-	copy(maxes, parts[0].Value)
-	for _, p := range parts[1:] {
-		if p.Len() != n {
-			panic("ad: LogSumExpPool over nodes of different lengths")
-		}
-		for i, v := range p.Value {
-			if v > maxes[i] {
-				maxes[i] = v
-			}
-		}
-	}
-	sums := make([]float64, n)
-	for _, p := range parts {
-		for i, v := range p.Value {
-			sums[i] += math.Exp(v - maxes[i])
-		}
-	}
-	for i := range out.Value {
-		out.Value[i] = maxes[i] + math.Log(sums[i])
-	}
-	out.back = func() {
-		// d/da_i = exp(a_i − y) = softmax weight of part i at dim d.
-		for _, p := range parts {
-			for i, g := range out.Grad {
-				p.Grad[i] += g * math.Exp(p.Value[i]-out.Value[i])
-			}
-		}
-	}
-	return out
-}
-
 // MeanPool records y = (1/k) Σᵢ aᵢ.
 func (t *Tape) MeanPool(parts []*Node) *Node {
 	s := t.SumPool(parts)

@@ -39,8 +39,8 @@ type ShardingReport struct {
 func mbOf(bytes int) float64 { return float64(bytes) / (1024 * 1024) }
 
 // shardingBase is the un-scaled model every configuration starts from; the
-// builder divides every model dimension by √K (ScaleSqrtK), which is where
-// the single-core build speedup comes from. The widths are deliberately on
+// builder divides every model dimension by √K, which is where the
+// single-core build speedup comes from. The widths are deliberately on
 // the paper's serving-model end of the range: sharding pays off when model
 // math dominates the build, not for toy widths where per-example overhead
 // does.

@@ -30,7 +30,7 @@ import (
 // Pooling selects the permutation-invariant aggregation of the per-element
 // φ outputs (§3.2 lists max, mean, sum, and log-sum-exp; sum is the
 // default and the only multiplicity-aware choice, which matters for
-// cardinality targets).
+// cardinality targets). Log-sum-exp is not offered: no structure selects it.
 type Pooling int
 
 // Supported pooling operations.
@@ -38,7 +38,6 @@ const (
 	SumPool Pooling = iota
 	MeanPool
 	MaxPool
-	LSEPool // log-sum-exp, the smooth maximum
 )
 
 // String implements fmt.Stringer.
@@ -50,8 +49,6 @@ func (p Pooling) String() string {
 		return "mean"
 	case MaxPool:
 		return "max"
-	case LSEPool:
-		return "logsumexp"
 	default:
 		return fmt.Sprintf("Pooling(%d)", int(p))
 	}
@@ -243,8 +240,6 @@ func (m *Model) applyWith(t *ad.Tape, s sets.Set, rho func(*ad.Tape, *ad.Node) *
 		pooled = t.MeanPool(parts)
 	case MaxPool:
 		pooled = t.MaxPool(parts)
-	case LSEPool:
-		pooled = t.LogSumExpPool(parts)
 	default:
 		pooled = t.SumPool(parts)
 	}
@@ -260,8 +255,6 @@ type Predictor struct {
 	phiS     *nn.InferScratch
 	rhoS     *nn.InferScratch
 	partsBuf []uint32
-	lseSum   []float64 // scratch for log-sum-exp pooling
-	lseBuf   []float64 // buffered per-element φ outputs for LSE (len(s) × PhiOut)
 	phiBuf   []float64 // destination for φ-cache hits (PhiOut)
 
 	// Per-batch memo: within one PredictBatch call, each distinct element id
@@ -350,9 +343,6 @@ func (p *Predictor) pooled(s sets.Set) []float64 {
 	}
 	m := p.m
 	accel := m.PhiAccel()
-	if m.cfg.Pool == LSEPool {
-		return p.pooledLSE(s, accel)
-	}
 	if m.cfg.Pool == MaxPool {
 		mat.Fill(p.pool, math.Inf(-1))
 	} else {
@@ -372,50 +362,6 @@ func (p *Predictor) pooled(s sets.Set) []float64 {
 	}
 	if m.cfg.Pool == MeanPool {
 		mat.Scale(p.pool, 1/float64(len(s)))
-	}
-	return p.pool
-}
-
-// pooledLSE is the tape-free log-sum-exp pooling path. Per-element φ outputs
-// are buffered in predictor-owned scratch so φ runs once per element (it used
-// to run twice: once for the max pass, once for the exp-sum pass), still
-// allocation-free after the scratch grows to the largest set seen. The pass
-// order — max, then exp-sum, then log — matches the unbuffered original, so
-// results are bit-identical.
-func (p *Predictor) pooledLSE(s sets.Set, accel PhiAccel) []float64 {
-	out := p.m.cfg.PhiOut
-	need := len(s) * out
-	if cap(p.lseBuf) < need {
-		p.lseBuf = make([]float64, need)
-	}
-	buf := p.lseBuf[:need]
-	for i, id := range s {
-		dst := buf[i*out : (i+1)*out]
-		if accel == nil && !p.memoOn {
-			p.phiInto(id, dst)
-		} else {
-			copy(dst, p.phiRow(accel, id))
-		}
-	}
-	mat.Fill(p.pool, math.Inf(-1))
-	for i := range s {
-		for j, v := range buf[i*out : (i+1)*out] {
-			if v > p.pool[j] {
-				p.pool[j] = v
-			}
-		}
-	}
-	if p.lseSum == nil {
-		p.lseSum = make([]float64, len(p.pool))
-	}
-	mat.Fill(p.lseSum, 0)
-	for i := range s {
-		for j, v := range buf[i*out : (i+1)*out] {
-			p.lseSum[j] += math.Exp(v - p.pool[j])
-		}
-	}
-	for i := range p.pool {
-		p.pool[i] += math.Log(p.lseSum[i])
 	}
 	return p.pool
 }

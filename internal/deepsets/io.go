@@ -69,7 +69,7 @@ func validateForLoad(cfg Config) error {
 		cfg.OutputAct < nn.Identity || cfg.OutputAct > nn.ReLU {
 		return fmt.Errorf("deepsets: corrupt config: activation out of range")
 	}
-	if cfg.Pool < SumPool || cfg.Pool > LSEPool {
+	if cfg.Pool < SumPool || cfg.Pool > MaxPool {
 		return fmt.Errorf("deepsets: corrupt config: pooling %d", cfg.Pool)
 	}
 	// The dominant allocation is the embedding table(s): vocab × EmbedDim.

@@ -179,3 +179,31 @@ func (b *box) usesHandoff(k string) int {
 	b.acquireForCaller()
 	return b.vals[k]
 }
+
+// Locks held by a generic type's methods are balanced per path like any
+// other.
+type genBox[T any] struct {
+	mu   sync.Mutex
+	vals []T
+}
+
+func (g *genBox[T]) firstLeak() (T, bool) {
+	var zero T
+	g.mu.Lock() // want `g\.mu\.Lock\(\) can reach a return with the lock still held`
+	if len(g.vals) == 0 {
+		return zero, false
+	}
+	v := g.vals[0]
+	g.mu.Unlock()
+	return v, true
+}
+
+func (g *genBox[T]) firstDeferred() (T, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	var zero T
+	if len(g.vals) == 0 {
+		return zero, false
+	}
+	return g.vals[0], true
+}

@@ -24,7 +24,7 @@
 //
 //   - capacity-guarded growth: make/append under an if whose condition
 //     consults cap(...) — the amortised grow-once buffer idiom
-//     (Predictor.pooledLSE, PredictBatch),
+//     (Predictor.PredictBatch),
 //   - panic arguments: allocations (fmt.Sprintf above all) inside the
 //     argument of a panic call happen only on the failure path,
 //   - append to a caller-provided parameter slice: the documented

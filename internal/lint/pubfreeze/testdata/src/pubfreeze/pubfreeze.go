@@ -180,3 +180,27 @@ func (c frozenCurve) Shifted() frozenCurve {
 	c.xs = nil
 	return c
 }
+
+// Generic containers publish per-instantiation states; a write after the
+// Store inside a generic method is caught like any other.
+type genState[M comparable] struct {
+	m M
+	n int
+}
+
+type genHolder[M comparable] struct {
+	cur atomic.Pointer[genState[M]]
+}
+
+func (h *genHolder[M]) swapIn(m M) {
+	st := &genState[M]{m: m}
+	h.cur.Store(st)
+	st.n = 1 // want `mutates .st. after it was published`
+}
+
+// Copy-on-write stays clean in generic code too.
+func (h *genHolder[M]) bump() {
+	next := *h.cur.Load()
+	next.n++
+	h.cur.Store(&next)
+}

@@ -2,28 +2,25 @@ package shard
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"setlearn/internal/core"
 	"setlearn/internal/dataset"
-	"setlearn/internal/deepsets"
 	"setlearn/internal/hybrid"
 	"setlearn/internal/sets"
 )
 
-// estShard is the swap-unit state of one estimator shard: trained model,
-// its sub-collection (needed to retrain; nil when the container was loaded
-// without a collection), and the exact delta of sets inserted after the
-// model was trained.
-type estShard struct {
-	est    *core.CardinalityEstimator // nil for a shard with no trained sets yet
-	sub    *sets.Collection           // trained sets in position order; nil until attached
-	global []int                      // global positions of the trained sets
-	delta  *hybrid.Delta
-	stat   BuildStat
+var estKind = &kind[*core.CardinalityEstimator, core.EstimatorOptions]{
+	name:  "card",
+	build: core.BuildEstimator,
+	load: func(r io.Reader, _ *sets.Collection) (*core.CardinalityEstimator, error) {
+		return core.LoadCardinalityEstimator(r)
+	},
+	fields: func(o *core.EstimatorOptions) (*core.ModelOptions, *int) { return &o.Model, &o.MaxSubset },
+	opts:   func(h *containerHeader) **core.EstimatorOptions { return &h.EstOpts },
 }
 
 // auxOverride is one exact-cardinality override recorded by Update. The
@@ -42,16 +39,7 @@ type auxOverride struct {
 // split), so exact overrides live in a container-level auxiliary map
 // consulted before the fan-out, mirroring the monolith's outlier list.
 type Estimator struct {
-	states  []atomic.Pointer[estShard]
-	k       int
-	part    Partitioner
-	route   *router // insert routing + freq-band query pruning; never nil
-	maxSub  int
-	maxID   atomic.Uint32
-	queries []atomic.Uint64
-	mutation
-	opts *core.EstimatorOptions // scaled per-shard build options; nil: not retrainable
-	fast atomic.Pointer[core.FastPathOptions]
+	container[*core.CardinalityEstimator, core.EstimatorOptions]
 
 	// auxMu guards aux and bounds. A retrain folds absorbed-insert counts
 	// into the overrides under the write lock in the same critical section
@@ -61,10 +49,6 @@ type Estimator struct {
 	auxMu  sync.RWMutex
 	aux    map[string]auxOverride // query key → exact override (Update)
 	bounds []float64              // per-shard measured error bounds; nil unless measured, invalidated by retrain
-
-	// hook, when non-nil, runs at the start of every per-shard dispatch.
-	// Test-only; set before use, never concurrently.
-	hook func(shard int)
 }
 
 var (
@@ -81,90 +65,26 @@ var (
 // sum, which bounds |fan-in estimate − truth| on that workload by the
 // triangle inequality.
 func BuildShardedEstimator(c *sets.Collection, o Options, opts core.EstimatorOptions) (*Estimator, error) {
-	if err := validate(c); err != nil {
-		return nil, err
-	}
-	o, err := o.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	if opts.MaxSubset == 0 {
-		opts.MaxSubset = 3
-	}
-	subs, globals, rt, err := buildPartition(c, o.Shards, o.Partitioner, opts.Model.Seed)
-	if err != nil {
-		return nil, err
-	}
-	rt.buildSupport(subs, opts.MaxSubset)
-	opts.Model = ScaleModel(opts.Model, o.Shards, o.Scaling)
-
-	var workload *dataset.SubsetStats
+	e := &Estimator{aux: make(map[string]auxOverride)}
+	var finish func(int, *state[*core.CardinalityEstimator])
 	if o.MeasureBounds {
-		workload = dataset.CollectSubsets(c, opts.MaxSubset)
-	}
-
-	e := &Estimator{
-		states:  make([]atomic.Pointer[estShard], o.Shards),
-		k:       o.Shards,
-		part:    o.Partitioner,
-		route:   rt,
-		maxSub:  opts.MaxSubset,
-		queries: make([]atomic.Uint64, o.Shards),
-		opts:    &opts,
-		aux:     make(map[string]auxOverride),
-	}
-	e.maxID.Store(c.MaxID())
-	e.baseLen = c.Len()
-	e.baseSeed = opts.Model.Seed
-	e.nextPos.Store(int64(c.Len()))
-	if o.MeasureBounds {
-		e.bounds = make([]float64, o.Shards)
-	}
-	err = runBounded(o.Shards, o.Parallelism, func(s int) error {
-		st, err := e.buildEstShard(s, subs[s], globals[s], opts, workload)
-		if err != nil {
-			return err
+		// The first shard to finish training collects the workload while
+		// the others are still training.
+		workload := sync.OnceValue(func() *dataset.SubsetStats { return dataset.CollectSubsets(c, e.maxSub) })
+		finish = func(s int, st *state[*core.CardinalityEstimator]) {
+			st.stat.ErrBound = measureShardBound(e.route, s, st.m, st.sub, workload(), e.maxSub)
 		}
-		e.states[s].Store(st)
-		return nil
-	})
-	if err != nil {
+	}
+	if err := e.build(estKind, c, o, opts, finish); err != nil {
 		return nil, err
 	}
 	if o.MeasureBounds {
-		for s := 0; s < o.Shards; s++ {
+		e.bounds = make([]float64, e.k)
+		for s := range e.bounds {
 			e.bounds[s] = e.states[s].Load().stat.ErrBound
 		}
 	}
 	return e, nil
-}
-
-// buildEstShard builds one shard's swap unit at the given options: train the
-// shard model and measure its error bound over the global workload (when
-// workload is non-nil). Safe to call concurrently for distinct shards.
-func (e *Estimator) buildEstShard(s int, sub *sets.Collection, global []int, so core.EstimatorOptions, workload *dataset.SubsetStats) (*estShard, error) {
-	st := &estShard{
-		sub:    sub,
-		global: global,
-		delta:  hybrid.NewDelta(),
-		stat:   BuildStat{Shard: s, Sets: sub.Len()},
-	}
-	if sub.Len() == 0 {
-		return st, nil
-	}
-	so.Model.Seed = e.baseSeed + int64(s)
-	t0 := time.Now()
-	est, err := core.BuildEstimator(sub, so)
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", s, err)
-	}
-	st.est = est
-	st.stat.BuildSecs = time.Since(t0).Seconds()
-	st.stat.Bytes = est.SizeBytes()
-	if workload != nil {
-		st.stat.ErrBound = measureShardBound(e.route, s, est, sub, workload, so.MaxSubset)
-	}
-	return st, nil
 }
 
 // measureShardBound returns max over the global workload of
@@ -198,14 +118,14 @@ func measureShardBound(rt *router, s int, est *core.CardinalityEstimator, sub *s
 // shard's pending delta. A shard the router prunes for q contributes its
 // delta count only — the prune is exact, so the model's would-be estimate
 // is replaced by the true trained-set cardinality, 0.
-func (e *Estimator) estimateShard(st *estShard, s int, q sets.Set) float64 {
+func (e *Estimator) estimateShard(st *state[*core.CardinalityEstimator], s int, q sets.Set) float64 {
 	if e.hook != nil {
 		e.hook(s)
 	}
 	e.queries[s].Add(1)
 	total := st.delta.Count(q)
-	if st.est != nil && !e.route.prunes(s, q) {
-		total += st.est.Estimate(q)
+	if st.m != nil && !e.route.prunes(s, q) {
+		total += st.m.Estimate(q)
 	}
 	return total
 }
@@ -256,10 +176,7 @@ func (e *Estimator) EstimateBatch(dst []float64, qs []sets.Set) []float64 {
 	if len(qs) == 0 {
 		return dst
 	}
-	sts := make([]*estShard, e.k)
-	for s := range sts {
-		sts[s] = e.states[s].Load()
-	}
+	sts := e.snapshot()
 	need := make([]sets.Set, 0, len(qs))
 	needAt := make([]int, 0, len(qs))
 	e.auxMu.RLock()
@@ -283,38 +200,11 @@ func (e *Estimator) EstimateBatch(dst []float64, qs []sets.Set) []float64 {
 	if len(need) == 0 {
 		return dst
 	}
-	per := make([][]float64, e.k)
-	fanOut(e.k, func(s int) {
-		if e.hook != nil {
-			e.hook(s)
-		}
-		e.queries[s].Add(uint64(len(need)))
-		if sts[s].est == nil {
-			return
-		}
-		if !e.route.hasPruning() {
-			per[s] = sts[s].est.EstimateBatch(nil, need)
-			return
-		}
-		// Scatter pruned queries as exact 0 contributions so the fan-in sum
-		// matches the single-query path bit for bit (x + 0.0 == x for the
-		// non-negative estimates here).
-		sel := make([]sets.Set, 0, len(need))
-		selAt := make([]int, 0, len(need))
-		for j, q := range need {
-			if !e.route.prunes(s, q) {
-				sel = append(sel, q)
-				selAt = append(selAt, j)
-			}
-		}
-		out := make([]float64, len(need))
-		if len(sel) > 0 {
-			vals := sts[s].est.EstimateBatch(nil, sel)
-			for i, j := range selAt {
-				out[j] = vals[i]
-			}
-		}
-		per[s] = out
+	// Pruned queries scatter as exact 0 contributions, so the fan-in sum
+	// matches the single-query path bit for bit (x + 0.0 == x for the
+	// non-negative estimates here).
+	per := fanBatch(&e.container, sts, need, 0, func(m *core.CardinalityEstimator, qs []sets.Set) []float64 {
+		return m.EstimateBatch(nil, qs)
 	})
 	hasDelta := make([]bool, e.k)
 	for s := range sts {
@@ -352,62 +242,6 @@ func (e *Estimator) Update(q sets.Set, card float64) {
 	e.insertMu.Unlock()
 }
 
-// Insert registers a set appended to the logical collection at global
-// position pos, recording it in the owning shard's exact delta.
-func (e *Estimator) Insert(s sets.Set, pos int) {
-	s = s.Clone()
-	e.insertMu.Lock()
-	if int64(pos) >= e.nextPos.Load() {
-		e.nextPos.Store(int64(pos) + 1)
-	}
-	e.logInsert(s, pos)
-	sd := e.route.owner(s)
-	e.route.noteInsert(sd, s)
-	e.states[sd].Load().delta.Add(s, pos)
-	e.insertMu.Unlock()
-}
-
-// InsertSet appends s to the logical collection: every estimate whose
-// query is contained in s is one higher the instant this returns.
-func (e *Estimator) InsertSet(s sets.Set) int {
-	s = s.Clone()
-	e.insertMu.Lock()
-	pos := int(e.nextPos.Add(1)) - 1
-	e.logInsert(s, pos)
-	sd := e.route.owner(s)
-	e.route.noteInsert(sd, s)
-	e.states[sd].Load().delta.Add(s, pos)
-	e.insertMu.Unlock()
-	return pos
-}
-
-// DeltaStats reports the pending/absorbed insert counters across shards.
-func (e *Estimator) DeltaStats() core.DeltaStats {
-	ds := core.DeltaStats{PerShard: make([]int, e.k), Absorbed: e.absorbed.Load()}
-	var oldest time.Duration
-	for s := 0; s < e.k; s++ {
-		d := e.states[s].Load().delta
-		n := d.Len()
-		ds.PerShard[s] = n
-		ds.Pending += n
-		if a := d.Age(); a > oldest {
-			oldest = a
-		}
-	}
-	ds.OldestSecs = oldest.Seconds()
-	return ds
-}
-
-// StalestShard returns the shard most in need of a retrain, or -1 (see
-// Index.StalestShard). An estimator loaded from disk additionally needs
-// AttachCollection before it can retrain.
-func (e *Estimator) StalestShard(minPending int) int {
-	if e.opts == nil || e.states[0].Load().sub == nil {
-		return -1
-	}
-	return stalestShard(e.k, minPending, func(s int) *hybrid.Delta { return e.states[s].Load().delta })
-}
-
 // CombinedErrorBound returns Σ per-shard measured bounds; ok is false when
 // the build did not measure them, the container was loaded from disk
 // without bounds, or a retrain invalidated them (the rebuilt shard model's
@@ -425,56 +259,9 @@ func (e *Estimator) CombinedErrorBound() (float64, bool) {
 	return total, true
 }
 
-// EnableFastPath (re)configures φ acceleration on every shard; the
-// configuration is remembered and re-applied to retrained shard models.
-func (e *Estimator) EnableFastPath(o core.FastPathOptions) string {
-	e.fast.Store(&o)
-	mode := ""
-	for s := 0; s < e.k; s++ {
-		if sh := e.states[s].Load().est; sh != nil {
-			mode = mergeMode(mode, sh.EnableFastPath(o))
-		}
-	}
-	if mode == "" {
-		mode = "off"
-	}
-	return mode
-}
-
-// PhiStats aggregates the per-shard φ accel counters.
-func (e *Estimator) PhiStats() (deepsets.AccelStats, bool) {
-	ps := make([]phiStatser, 0, e.k)
-	for s := 0; s < e.k; s++ {
-		if sh := e.states[s].Load().est; sh != nil {
-			ps = append(ps, sh)
-		}
-	}
-	return aggregatePhi(ps)
-}
-
-// MaxID returns the largest element id accepted by the trained models; it
-// grows when a retrain absorbs inserted sets with fresh elements.
-func (e *Estimator) MaxID() uint32 { return e.maxID.Load() }
-
-// MaxSubset returns the trained subset-size cap shared by all shards.
-func (e *Estimator) MaxSubset() int { return e.maxSub }
-
-// NumShards returns K.
-func (e *Estimator) NumShards() int { return e.k }
-
-// Partitioner returns the partitioning scheme.
-func (e *Estimator) Partitioner() Partitioner { return e.part }
-
 // SizeBytes sums the per-shard footprints, deltas, and the override map.
 func (e *Estimator) SizeBytes() int {
-	total := 0
-	for s := 0; s < e.k; s++ {
-		st := e.states[s].Load()
-		if st.est != nil {
-			total += st.est.SizeBytes()
-		}
-		total += st.delta.SizeBytes()
-	}
+	total := e.container.SizeBytes()
 	e.auxMu.RLock()
 	for k, ov := range e.aux {
 		total += len(k) + 8 + 4*len(ov.set)
@@ -483,36 +270,97 @@ func (e *Estimator) SizeBytes() int {
 	return total
 }
 
-// BuildStats returns the per-shard build statistics; a retrained shard
-// reports its latest build.
-func (e *Estimator) BuildStats() []BuildStat {
-	out := make([]BuildStat, e.k)
-	for s := 0; s < e.k; s++ {
-		out[s] = e.states[s].Load().stat
-	}
-	return out
-}
-
-// ShardStats reports the per-shard serving statistics.
-func (e *Estimator) ShardStats() []core.ShardStat {
-	out := make([]core.ShardStat, e.k)
-	for s := 0; s < e.k; s++ {
-		st := e.states[s].Load()
-		pending := st.delta.Len()
-		cs := core.ShardStat{
-			Shard:   s,
-			Sets:    st.stat.Sets + pending,
-			Pending: pending,
-			Queries: e.queries[s].Load(),
-			PhiMode: "off",
-		}
-		if st.est != nil {
-			cs.Bytes = st.est.SizeBytes()
-			if ps, ok := st.est.PhiStats(); ok {
-				cs.PhiMode = ps.Mode
+// RetrainShard rebuilds shard s's estimator over its trained sets plus the
+// pending delta and hot-swaps it, folding the absorbed counts into any
+// exact overrides so their composed answers do not move. Returns nil
+// without building when the delta is empty. Requires the shard
+// sub-collections (present after a build; a loaded estimator needs
+// AttachCollection first).
+func (e *Estimator) RetrainShard(s int) error {
+	return e.retrain(s, func(next *state[*core.CardinalityEstimator], absorbed []hybrid.DeltaEntry) {
+		// The swap and the override folding happen inside one auxMu
+		// critical section: an override reader holds the read lock across
+		// its override + delta-count composition, so it either sees (old
+		// delta counts, old override values) or (tail counts, folded
+		// values) — both exact.
+		e.auxMu.Lock()
+		e.states[s].Store(next)
+		for key, ov := range e.aux {
+			folded := 0.0
+			for _, en := range absorbed {
+				if en.Set.ContainsAll(ov.set) {
+					folded++
+				}
+			}
+			if folded > 0 {
+				ov.card += folded
+				e.aux[key] = ov
 			}
 		}
-		out[s] = cs
+		// The rebuilt model's error over the measured workload is unknown.
+		e.bounds = nil
+		e.auxMu.Unlock()
+	})
+}
+
+// Save persists the sharded estimator, including the container-level exact
+// overrides (sorted for deterministic bytes), any measured bounds, and the
+// live-mutation state.
+func (e *Estimator) Save(w io.Writer) error {
+	return e.save(w, func(hdr *containerHeader) {
+		e.auxMu.RLock()
+		hdr.Bounds = e.bounds
+		hdr.AuxKeys = make([]string, 0, len(e.aux))
+		for k := range e.aux {
+			hdr.AuxKeys = append(hdr.AuxKeys, k)
+		}
+		sort.Strings(hdr.AuxKeys)
+		hdr.AuxVals = make([]float64, len(hdr.AuxKeys))
+		for i, k := range hdr.AuxKeys {
+			hdr.AuxVals[i] = e.aux[k].card
+		}
+		e.auxMu.RUnlock()
+	})
+}
+
+// LoadShardedEstimator restores an estimator saved by Save. The maximum
+// accepted element id is recovered from the shard models; pending deltas
+// are restored exactly. Retraining additionally needs AttachCollection. A
+// stream from a calibrated build loads without its measured bounds, which
+// were taken with the curves applied.
+func LoadShardedEstimator(r io.Reader) (*Estimator, error) {
+	hdr, err := readContainerHeader(r, estKind.name)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	if len(hdr.AuxKeys) != len(hdr.AuxVals) {
+		return nil, fmt.Errorf("shard: header lists %d override keys for %d values", len(hdr.AuxKeys), len(hdr.AuxVals))
+	}
+	if hdr.Bounds != nil && len(hdr.Bounds) != hdr.Shards {
+		return nil, fmt.Errorf("shard: header lists %d bounds for %d shards", len(hdr.Bounds), hdr.Shards)
+	}
+	calibrated, err := legacyCalibrated(hdr)
+	if err != nil {
+		return nil, err
+	}
+	if calibrated {
+		hdr.Bounds = nil
+	}
+	e := &Estimator{aux: make(map[string]auxOverride, len(hdr.AuxKeys)), bounds: hdr.Bounds}
+	for i, k := range hdr.AuxKeys {
+		set, err := sets.FromKey(k)
+		if err != nil {
+			return nil, fmt.Errorf("shard: override %d: %w", i, err)
+		}
+		e.aux[k] = auxOverride{set: set, card: hdr.AuxVals[i]}
+	}
+	err = e.load(r, hdr, estKind, nil, func(s int, st *state[*core.CardinalityEstimator]) {
+		if e.bounds != nil {
+			st.stat.ErrBound = e.bounds[s]
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
 }

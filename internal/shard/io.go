@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
-	"sync/atomic"
 
 	"setlearn/internal/blockio"
 	"setlearn/internal/core"
-	"setlearn/internal/dataset"
 	"setlearn/internal/hybrid"
 	"setlearn/internal/sets"
 )
@@ -64,8 +61,8 @@ type containerHeader struct {
 	Shards      int
 	Partitioner int
 	MaxSubset   int
-	ShardSets   []int    // trained sets per shard; 0 marks an empty (nil) shard
-	Globals     [][]int  // per-shard local → global position (v1: index only; v2: all kinds)
+	ShardSets   []int    // trained sets per shard; 0 marks an empty shard (no model)
+	Globals     [][]int  // per-shard local → global position; nil when no shard has a map (v1 estimator/filter)
 	AuxKeys     []string // estimator only: exact-override keys, sorted
 	AuxVals     []float64
 	Bounds      []float64 // estimator only: per-shard measured bounds, or nil
@@ -156,8 +153,7 @@ func readContainerHeader(r io.Reader, kind string) (containerHeader, error) {
 	return hdr, nil
 }
 
-// mutationState is the decoded v2 live-mutation header state, shared by the
-// three loaders.
+// mutationState is the decoded v2 live-mutation header state.
 type mutationState struct {
 	inserted []hybrid.DeltaEntry
 	byPos    map[int]sets.Set
@@ -233,16 +229,22 @@ func canonicalSet(ids []uint32) (sets.Set, error) {
 	return s, nil
 }
 
-// resolvePos maps a persisted global position to its set: base-collection
-// positions resolve through c, later ones through the insert log.
-func resolvePos(pos int, baseLen int, c *sets.Collection, byPos map[int]sets.Set) (sets.Set, error) {
-	if pos >= 0 && pos < baseLen {
-		return c.At(pos), nil
+// resolveSub rebuilds a shard's sub-collection from its position map:
+// base-collection positions resolve through c, later ones through the
+// insert log.
+func resolveSub(global []int, baseLen int, c *sets.Collection, byPos map[int]sets.Set) (*sets.Collection, error) {
+	sub := &sets.Collection{Sets: make([]sets.Set, 0, len(global))}
+	for _, pos := range global {
+		switch set, logged := byPos[pos]; {
+		case pos >= 0 && pos < baseLen:
+			sub.Append(c.At(pos))
+		case logged:
+			sub.Append(set)
+		default:
+			return nil, fmt.Errorf("position %d outside the collection and the insert log", pos)
+		}
 	}
-	if s, ok := byPos[pos]; ok {
-		return s, nil
-	}
-	return nil, fmt.Errorf("position %d outside the collection and the insert log", pos)
+	return sub, nil
 }
 
 // validateGlobals checks the per-shard position maps against the shard
@@ -393,28 +395,80 @@ func writeContainerHeader(w io.Writer, hdr containerHeader) error {
 	return nil
 }
 
-// saveShard frames one shard's core stream; a nil shard becomes a
-// zero-length block.
-func saveShard(w io.Writer, s int, save func(io.Writer) error) error {
-	if save == nil {
-		save = func(io.Writer) error { return nil }
+// save writes the container: the header (including the insert log and
+// pending-delta positions, so a reload answers inserted sets exactly), then
+// the per-shard model streams. extra, when non-nil, adds kind-specific
+// header fields; it runs under insertMu, in the same consistent cut as the
+// deltas. Position maps are written only when some shard has one: a
+// container loaded from a stream without them (v1) re-saves without them,
+// and so reloads the same way.
+func (c *container[M, O]) save(w io.Writer, extra func(*containerHeader)) error {
+	// Snapshot states + deltas + insert log under insertMu: retrain swaps
+	// also hold it, so the snapshot is one consistent cut.
+	c.insertMu.Lock()
+	sts := c.snapshot()
+	deltas := make([][]hybrid.DeltaEntry, c.k)
+	for s, st := range sts {
+		deltas[s] = st.delta.Snapshot()
 	}
-	if err := blockio.Write(w, save); err != nil {
-		return fmt.Errorf("shard: save shard %d: %w", s, err)
+	hdr := containerHeader{
+		Version:     formatVersion,
+		Kind:        c.kind.name,
+		Shards:      c.k,
+		Partitioner: int(c.part),
+		MaxSubset:   c.maxSub,
+		ShardSets:   make([]int, c.k),
+	}
+	*c.kind.opts(&hdr) = c.opts
+	c.fillMutation(&hdr, deltas)
+	if extra != nil {
+		extra(&hdr)
+	}
+	c.insertMu.Unlock()
+	globals := make([][]int, c.k)
+	hasMap := false
+	for s, st := range sts {
+		hdr.ShardSets[s] = st.stat.Sets
+		globals[s] = st.global
+		hasMap = hasMap || len(st.global) > 0
+	}
+	if hasMap {
+		hdr.Globals = globals
+	}
+	routerToHeader(c.route, &hdr)
+	if err := writeContainerHeader(w, hdr); err != nil {
+		return err
+	}
+	for s, st := range sts {
+		err := blockio.Write(w, func(w io.Writer) error {
+			if st.m == c.zero() {
+				return nil // an empty shard is a zero-length block
+			}
+			return st.m.Save(w)
+		})
+		if err != nil {
+			return fmt.Errorf("shard: save shard %d: %w", s, err)
+		}
 	}
 	return nil
 }
 
+// Save persists the container (see the format above). Like the monolithic
+// structures, the collection itself is not written: LoadShardedIndex needs
+// it back, and a loaded estimator or filter needs AttachCollection before
+// it can retrain.
+func (c *container[M, O]) Save(w io.Writer) error { return c.save(w, nil) }
+
 // fillMutation writes the shared live-mutation header fields from a
 // consistent snapshot. Caller holds insertMu (so no insert or retrain swap
 // can interleave between the state loads and the log copy).
-func (m *mutation) fillMutation(hdr *containerHeader, deltas [][]hybrid.DeltaEntry) {
-	hdr.BaseLen = m.baseLen
-	hdr.NextPos = m.nextPos.Load()
-	hdr.BaseSeed = m.baseSeed
-	hdr.InsertedPos = make([]int, len(m.inserted))
-	hdr.InsertedSets = make([][]uint32, len(m.inserted))
-	for i, en := range m.inserted {
+func (c *container[M, O]) fillMutation(hdr *containerHeader, deltas [][]hybrid.DeltaEntry) {
+	hdr.BaseLen = c.baseLen
+	hdr.NextPos = c.nextPos.Load()
+	hdr.BaseSeed = c.baseSeed
+	hdr.InsertedPos = make([]int, len(c.inserted))
+	hdr.InsertedSets = make([][]uint32, len(c.inserted))
+	for i, en := range c.inserted {
 		hdr.InsertedPos[i] = en.Pos
 		hdr.InsertedSets[i] = en.Set
 	}
@@ -427,408 +481,81 @@ func (m *mutation) fillMutation(hdr *containerHeader, deltas [][]hybrid.DeltaEnt
 	}
 }
 
-// Save persists the sharded index: header (including the insert log and
-// pending-delta positions, so a reload answers inserted sets exactly),
-// then the per-shard model streams. Like the monolithic SetIndex, the
-// collection itself is not written; LoadShardedIndex needs it back.
-func (x *Index) Save(w io.Writer) error {
-	// Snapshot states + deltas + insert log under insertMu: retrain swaps
-	// also hold it, so the snapshot is one consistent cut.
-	x.insertMu.Lock()
-	sts := make([]*indexShard, x.k)
-	deltas := make([][]hybrid.DeltaEntry, x.k)
-	for s := 0; s < x.k; s++ {
-		sts[s] = x.states[s].Load()
-		deltas[s] = sts[s].delta.Snapshot()
-	}
-	hdr := containerHeader{
-		Version:     formatVersion,
-		Kind:        "index",
-		Shards:      x.k,
-		Partitioner: int(x.part),
-		MaxSubset:   x.maxSub,
-		ShardSets:   make([]int, x.k),
-		Globals:     make([][]int, x.k),
-		IndexOpts:   x.opts,
-	}
-	x.fillMutation(&hdr, deltas)
-	x.insertMu.Unlock()
-	for s := 0; s < x.k; s++ {
-		hdr.ShardSets[s] = len(sts[s].global)
-		hdr.Globals[s] = sts[s].global
-	}
-	routerToHeader(x.route, &hdr)
-	if err := writeContainerHeader(w, hdr); err != nil {
-		return err
-	}
-	for s := 0; s < x.k; s++ {
-		var save func(io.Writer) error
-		if sts[s].idx != nil {
-			save = sts[s].idx.Save
-		}
-		if err := saveShard(w, s, save); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadShardedIndex restores a sharded index over the collection it was
-// built on. c must cover the original build (the first BaseLen positions);
-// sets inserted afterwards travel in the stream itself and need not be in
-// c. Pending deltas are restored exactly, so lookups for inserted sets
-// answer correctly the moment the load returns. A stream from a calibrated
-// build has its per-shard error bounds remeasured from the sub-collections,
-// because the persisted ones were measured on calibrated positions.
-func LoadShardedIndex(r io.Reader, c *sets.Collection) (*Index, error) {
-	if c == nil {
-		return nil, fmt.Errorf("shard: load index: nil collection")
-	}
-	hdr, err := readContainerHeader(r, "index")
-	if err != nil {
-		return nil, err
-	}
-	if err := validateGlobals(hdr); err != nil {
-		return nil, err
-	}
-	ms, err := decodeMutation(hdr)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := routerFromHeader(hdr)
-	if err != nil {
-		return nil, err
-	}
-	remeasure, err := legacyCalibrated(hdr)
-	if err != nil {
-		return nil, err
-	}
-	if hdr.Version < 2 {
-		// v1 resolved every position through the collection.
-		ms.baseLen = c.Len()
-		ms.nextPos = int64(c.Len())
-	}
-	if ms.baseLen > c.Len() {
-		return nil, fmt.Errorf("shard: container was built over %d sets but the collection has %d", ms.baseLen, c.Len())
-	}
-	x := &Index{
-		states:  make([]atomic.Pointer[indexShard], hdr.Shards),
-		k:       hdr.Shards,
-		part:    Partitioner(hdr.Partitioner),
-		route:   rt,
-		maxSub:  hdr.MaxSubset,
-		queries: make([]atomic.Uint64, hdr.Shards),
-		opts:    hdr.IndexOpts,
-	}
-	x.baseLen = ms.baseLen
-	x.baseSeed = ms.baseSeed
-	x.nextPos.Store(ms.nextPos)
-	x.inserted = ms.inserted
-	var maxID uint32
-	for s := 0; s < hdr.Shards; s++ {
-		sub := &sets.Collection{Sets: make([]sets.Set, 0, len(hdr.Globals[s]))}
-		for _, pos := range hdr.Globals[s] {
-			set, err := resolvePos(pos, ms.baseLen, c, ms.byPos)
-			if err != nil {
-				return nil, fmt.Errorf("shard: shard %d: %w", s, err)
-			}
-			sub.Append(set)
-		}
-		if id := sub.MaxID(); id > maxID {
-			maxID = id
-		}
-		st := &indexShard{
-			sub:    sub,
-			global: hdr.Globals[s],
-			delta:  hybrid.NewDeltaFrom(ms.deltas[s]),
-			stat:   BuildStat{Shard: s, Sets: sub.Len()},
-		}
-		block, err := blockio.Read(r)
-		if err != nil {
-			return nil, fmt.Errorf("shard: load shard %d: %w", s, err)
-		}
-		if sub.Len() == 0 {
-			if block.Len() != 0 {
-				return nil, fmt.Errorf("shard: load shard %d: payload for an empty shard", s)
-			}
-			x.states[s].Store(st)
-			continue
-		}
-		idx, err := core.LoadIndex(block, sub)
-		if err != nil {
-			return nil, fmt.Errorf("shard: load shard %d: %w", s, err)
-		}
-		if remeasure {
-			idx.RemeasureBounds(dataset.CollectSubsetsWithFull(sub, hdr.MaxSubset).IndexSamples())
-		}
-		st.idx = idx
-		st.stat.Bytes = idx.SizeBytes()
-		st.stat.MaxError = idx.MaxError()
-		x.states[s].Store(st)
-	}
-	x.maxID.Store(maxID)
-	return x, nil
-}
-
-// Save persists the sharded estimator, including the container-level exact
-// overrides (sorted for deterministic bytes), any measured bounds, and the
-// live-mutation state.
-func (e *Estimator) Save(w io.Writer) error {
-	e.insertMu.Lock()
-	sts := make([]*estShard, e.k)
-	deltas := make([][]hybrid.DeltaEntry, e.k)
-	for s := 0; s < e.k; s++ {
-		sts[s] = e.states[s].Load()
-		deltas[s] = sts[s].delta.Snapshot()
-	}
-	hdr := containerHeader{
-		Version:     formatVersion,
-		Kind:        "card",
-		Shards:      e.k,
-		Partitioner: int(e.part),
-		MaxSubset:   e.maxSub,
-		ShardSets:   make([]int, e.k),
-		Globals:     make([][]int, e.k),
-		EstOpts:     e.opts,
-	}
-	e.fillMutation(&hdr, deltas)
-	e.auxMu.RLock()
-	hdr.Bounds = e.bounds
-	hdr.AuxKeys = make([]string, 0, len(e.aux))
-	for k := range e.aux {
-		hdr.AuxKeys = append(hdr.AuxKeys, k)
-	}
-	sort.Strings(hdr.AuxKeys)
-	hdr.AuxVals = make([]float64, len(hdr.AuxKeys))
-	for i, k := range hdr.AuxKeys {
-		hdr.AuxVals[i] = e.aux[k].card
-	}
-	e.auxMu.RUnlock()
-	e.insertMu.Unlock()
-	for s := 0; s < e.k; s++ {
-		hdr.ShardSets[s] = sts[s].stat.Sets
-		hdr.Globals[s] = sts[s].global
-	}
-	routerToHeader(e.route, &hdr)
-	if err := writeContainerHeader(w, hdr); err != nil {
-		return err
-	}
-	for s := 0; s < e.k; s++ {
-		var save func(io.Writer) error
-		if sts[s].est != nil {
-			save = sts[s].est.Save
-		}
-		if err := saveShard(w, s, save); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadShardedEstimator restores an estimator saved by Save. The maximum
-// accepted element id is recovered from the shard models; pending deltas
-// are restored exactly. Retraining additionally needs AttachCollection. A
-// stream from a calibrated build loads without its measured bounds, which
-// were taken with the curves applied.
-func LoadShardedEstimator(r io.Reader) (*Estimator, error) {
-	hdr, err := readContainerHeader(r, "card")
-	if err != nil {
-		return nil, err
-	}
-	if len(hdr.AuxKeys) != len(hdr.AuxVals) {
-		return nil, fmt.Errorf("shard: header lists %d override keys for %d values", len(hdr.AuxKeys), len(hdr.AuxVals))
-	}
-	if hdr.Bounds != nil && len(hdr.Bounds) != hdr.Shards {
-		return nil, fmt.Errorf("shard: header lists %d bounds for %d shards", len(hdr.Bounds), hdr.Shards)
-	}
-	if hdr.Version >= 2 {
+// load restores the container from a decoded header and the K shard
+// payloads that follow it in r. col is the collection the shards' position
+// maps resolve through (the index needs it at load), or nil. The position
+// maps are validated when present or when col is given; a stream without
+// them loads with nil maps, as a container that cannot retrain. fix, when
+// non-nil, adjusts each shard's state before it is published. The maximum
+// accepted element id is recovered from the shard models.
+func (c *container[M, O]) load(r io.Reader, hdr containerHeader, kd *kind[M, O], col *sets.Collection, fix func(int, *state[M])) error {
+	if hdr.Globals != nil || col != nil {
 		if err := validateGlobals(hdr); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	ms, err := decodeMutation(hdr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rt, err := routerFromHeader(hdr)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	calibrated, err := legacyCalibrated(hdr)
-	if err != nil {
-		return nil, err
-	}
-	if calibrated {
-		hdr.Bounds = nil
-	}
-	e := &Estimator{
-		states:  make([]atomic.Pointer[estShard], hdr.Shards),
-		k:       hdr.Shards,
-		part:    Partitioner(hdr.Partitioner),
-		route:   rt,
-		maxSub:  hdr.MaxSubset,
-		aux:     make(map[string]auxOverride, len(hdr.AuxKeys)),
-		bounds:  hdr.Bounds,
-		queries: make([]atomic.Uint64, hdr.Shards),
-		opts:    hdr.EstOpts,
-	}
-	e.baseLen = ms.baseLen
-	e.baseSeed = ms.baseSeed
-	e.nextPos.Store(ms.nextPos)
-	e.inserted = ms.inserted
-	for i, k := range hdr.AuxKeys {
-		set, err := sets.FromKey(k)
-		if err != nil {
-			return nil, fmt.Errorf("shard: override %d: %w", i, err)
+	if col != nil {
+		if hdr.Version < 2 {
+			// v1 resolved every position through the collection.
+			ms.baseLen = col.Len()
+			ms.nextPos = int64(col.Len())
 		}
-		e.aux[k] = auxOverride{set: set, card: hdr.AuxVals[i]}
+		if ms.baseLen > col.Len() {
+			return fmt.Errorf("shard: container was built over %d sets but the collection has %d", ms.baseLen, col.Len())
+		}
 	}
+	c.init(kd, hdr.Shards, Partitioner(hdr.Partitioner), rt, hdr.MaxSubset)
+	c.opts = *kd.opts(&hdr)
+	c.baseLen = ms.baseLen
+	c.baseSeed = ms.baseSeed
+	c.nextPos.Store(ms.nextPos)
+	c.inserted = ms.inserted
 	var maxID uint32
 	for s := 0; s < hdr.Shards; s++ {
-		st := &estShard{
+		st := &state[M]{
 			delta: hybrid.NewDeltaFrom(ms.deltas[s]),
 			stat:  BuildStat{Shard: s, Sets: hdr.ShardSets[s]},
 		}
-		if hdr.Version >= 2 {
+		if hdr.Globals != nil {
 			st.global = hdr.Globals[s]
 		}
-		if e.bounds != nil {
-			st.stat.ErrBound = e.bounds[s]
+		if col != nil {
+			if st.sub, err = resolveSub(st.global, ms.baseLen, col, ms.byPos); err != nil {
+				return fmt.Errorf("shard: shard %d: %w", s, err)
+			}
 		}
 		block, err := blockio.Read(r)
 		if err != nil {
-			return nil, fmt.Errorf("shard: load shard %d: %w", s, err)
+			return fmt.Errorf("shard: load shard %d: %w", s, err)
 		}
 		if hdr.ShardSets[s] == 0 {
 			if block.Len() != 0 {
-				return nil, fmt.Errorf("shard: load shard %d: payload for an empty shard", s)
+				return fmt.Errorf("shard: load shard %d: payload for an empty shard", s)
 			}
-			e.states[s].Store(st)
-			continue
+		} else {
+			if st.m, err = kd.load(block, st.sub); err != nil {
+				return fmt.Errorf("shard: load shard %d: %w", s, err)
+			}
+			c.measure(st)
+			if id := st.m.MaxID(); id > maxID {
+				maxID = id
+			}
 		}
-		est, err := core.LoadCardinalityEstimator(block)
-		if err != nil {
-			return nil, fmt.Errorf("shard: load shard %d: %w", s, err)
+		if fix != nil {
+			fix(s, st)
 		}
-		st.est = est
-		st.stat.Bytes = est.SizeBytes()
-		if id := est.MaxID(); id > maxID {
-			maxID = id
-		}
-		e.states[s].Store(st)
+		c.states[s].Store(st)
 	}
-	e.maxID.Store(maxID)
-	return e, nil
-}
-
-// Save persists the sharded membership filter, including the live-mutation
-// state.
-func (f *Filter) Save(w io.Writer) error {
-	f.insertMu.Lock()
-	sts := make([]*fltShard, f.k)
-	deltas := make([][]hybrid.DeltaEntry, f.k)
-	for s := 0; s < f.k; s++ {
-		sts[s] = f.states[s].Load()
-		deltas[s] = sts[s].delta.Snapshot()
-	}
-	hdr := containerHeader{
-		Version:     formatVersion,
-		Kind:        "member",
-		Shards:      f.k,
-		Partitioner: int(f.part),
-		MaxSubset:   f.maxSub,
-		ShardSets:   make([]int, f.k),
-		Globals:     make([][]int, f.k),
-		FltOpts:     f.opts,
-	}
-	f.fillMutation(&hdr, deltas)
-	f.insertMu.Unlock()
-	routerToHeader(f.route, &hdr)
-	for s := 0; s < f.k; s++ {
-		hdr.ShardSets[s] = sts[s].stat.Sets
-		hdr.Globals[s] = sts[s].global
-	}
-	if err := writeContainerHeader(w, hdr); err != nil {
-		return err
-	}
-	for s := 0; s < f.k; s++ {
-		var save func(io.Writer) error
-		if sts[s].flt != nil {
-			save = sts[s].flt.Save
-		}
-		if err := saveShard(w, s, save); err != nil {
-			return err
-		}
-	}
+	c.maxID.Store(maxID)
 	return nil
-}
-
-// LoadShardedFilter restores a filter saved by Save; pending deltas are
-// restored exactly. Retraining additionally needs AttachCollection.
-func LoadShardedFilter(r io.Reader) (*Filter, error) {
-	hdr, err := readContainerHeader(r, "member")
-	if err != nil {
-		return nil, err
-	}
-	if hdr.Version >= 2 {
-		if err := validateGlobals(hdr); err != nil {
-			return nil, err
-		}
-	}
-	ms, err := decodeMutation(hdr)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := routerFromHeader(hdr)
-	if err != nil {
-		return nil, err
-	}
-	f := &Filter{
-		states:  make([]atomic.Pointer[fltShard], hdr.Shards),
-		k:       hdr.Shards,
-		part:    Partitioner(hdr.Partitioner),
-		route:   rt,
-		maxSub:  hdr.MaxSubset,
-		queries: make([]atomic.Uint64, hdr.Shards),
-		opts:    hdr.FltOpts,
-	}
-	f.baseLen = ms.baseLen
-	f.baseSeed = ms.baseSeed
-	f.nextPos.Store(ms.nextPos)
-	f.inserted = ms.inserted
-	var maxID uint32
-	for s := 0; s < hdr.Shards; s++ {
-		st := &fltShard{
-			delta: hybrid.NewDeltaFrom(ms.deltas[s]),
-			stat:  BuildStat{Shard: s, Sets: hdr.ShardSets[s]},
-		}
-		if hdr.Version >= 2 {
-			st.global = hdr.Globals[s]
-		}
-		block, err := blockio.Read(r)
-		if err != nil {
-			return nil, fmt.Errorf("shard: load shard %d: %w", s, err)
-		}
-		if hdr.ShardSets[s] == 0 {
-			if block.Len() != 0 {
-				return nil, fmt.Errorf("shard: load shard %d: payload for an empty shard", s)
-			}
-			f.states[s].Store(st)
-			continue
-		}
-		flt, err := core.LoadMembershipFilter(block)
-		if err != nil {
-			return nil, fmt.Errorf("shard: load shard %d: %w", s, err)
-		}
-		st.flt = flt
-		st.stat.Bytes = flt.SizeBytes()
-		if id := flt.MaxID(); id > maxID {
-			maxID = id
-		}
-		f.states[s].Store(st)
-	}
-	f.maxID.Store(maxID)
-	return f, nil
 }
 
 // SniffSharded reports whether the stream served by ra begins with the

@@ -319,4 +319,5 @@ func TestWriteFuzzSeedCorpus(t *testing.T) {
 	write("seed-card-freq-v3", 1, cardFreq)
 	write("seed-index-clust-v3", 0, idxClust)
 	write("seed-cross-v3", 2, cardFreq)
+	write("seed-card-v1", 1, asV1(t, fc.card))
 }

@@ -300,10 +300,10 @@ func TestShardedV3LegacyCalibrated(t *testing.T) {
 		// The loaded bounds are the plain model's: remeasuring moves none.
 		for s := 0; s < x.NumShards(); s++ {
 			sh := x.states[s].Load()
-			if sh.idx == nil {
+			if sh.m == nil {
 				continue
 			}
-			h := sh.idx.Hybrid()
+			h := sh.m.Hybrid()
 			maxErr, meanErr := h.MaxError(), h.MeanLocalError()
 			h.RemeasureBounds(dataset.CollectSubsetsWithFull(sh.sub, x.MaxSubset()).IndexSamples())
 			if h.MaxError() != maxErr || h.MeanLocalError() != meanErr {

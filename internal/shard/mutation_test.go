@@ -204,7 +204,7 @@ func TestInsertLifecycle(t *testing.T) {
 	}
 
 	// Idempotent double trigger: an empty-delta retrain must not swap.
-	before := make([]*indexShard, k)
+	before := make([]*state[*core.SetIndex], k)
 	for s := 0; s < k; s++ {
 		before[s] = idx.states[s].Load()
 	}
@@ -280,33 +280,33 @@ func TestRetrainMatchesFromScratchRebuild(t *testing.T) {
 			}
 		}
 		var as, bs func(io.Writer) error
-		if a.idx != nil {
-			as = a.idx.Save
+		if a.m != nil {
+			as = a.m.Save
 		}
-		if b.idx != nil {
-			bs = b.idx.Save
+		if b.m != nil {
+			bs = b.m.Save
 		}
 		if !bytes.Equal(shardBytes(as), shardBytes(bs)) {
 			t.Fatalf("index shard %d: retrained model differs from from-scratch build", s)
 		}
 		ea, eb := est.states[s].Load(), est2.states[s].Load()
 		var eas, ebs func(io.Writer) error
-		if ea.est != nil {
-			eas = ea.est.Save
+		if ea.m != nil {
+			eas = ea.m.Save
 		}
-		if eb.est != nil {
-			ebs = eb.est.Save
+		if eb.m != nil {
+			ebs = eb.m.Save
 		}
 		if !bytes.Equal(shardBytes(eas), shardBytes(ebs)) {
 			t.Fatalf("estimator shard %d: retrained model differs from from-scratch build", s)
 		}
 		fa, fb := flt.states[s].Load(), flt2.states[s].Load()
 		var fas, fbs func(io.Writer) error
-		if fa.flt != nil {
-			fas = fa.flt.Save
+		if fa.m != nil {
+			fas = fa.m.Save
 		}
-		if fb.flt != nil {
-			fbs = fb.flt.Save
+		if fb.m != nil {
+			fbs = fb.m.Save
 		}
 		if !bytes.Equal(shardBytes(fas), shardBytes(fbs)) {
 			t.Fatalf("filter shard %d: retrained model differs from from-scratch build", s)

@@ -122,6 +122,18 @@ func (p *presence) mark(s sets.Set) {
 	p.words.Store(&next)
 }
 
+// ownerShard picks the shard an inserted set routes to under stateless
+// routing: its content hash under HashBySet (a pure function of the
+// elements), or the last — highest-position — shard under RangeByPosition.
+// Unlike the trained fan-out, empty shards are not skipped: their delta
+// serves the set exactly until a retrain builds the shard's first model.
+func ownerShard(k int, p Partitioner, s sets.Set) int {
+	if p == HashBySet {
+		return int(s.Hash() % uint64(k))
+	}
+	return k - 1
+}
+
 // newRouter returns a stateless router (hash/range semantics; also the K=1
 // degenerate form of freq/cluster, where every set routes to shard 0).
 func newRouter(k int, p Partitioner) *router { return &router{k: k, part: p} }

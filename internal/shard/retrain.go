@@ -20,10 +20,10 @@ import (
 //  1. Snapshot the delta (append-only, so the prefix of length cut is
 //     stable) and merge it with the shard's trained sub-collection in
 //     global position order.
-//  2. Build the new core structure off the serving path, with the same
-//     scaled options and the same deterministic seed (baseSeed+shard) the
-//     original build used — so the result is bit-identical to a
-//     from-scratch build over the union collection.
+//  2. Build the new shard model off the serving path with container.train,
+//     the build's own per-shard step: the same scaled options and the same
+//     deterministic seed (baseSeed+shard) — so the result is bit-identical
+//     to a from-scratch build over the union collection.
 //  3. Under insertMu, collect the tail (inserts that landed during the
 //     build), swap in the new state carrying the tail as its delta, and
 //     raise the accepted MaxID.
@@ -85,69 +85,27 @@ func raiseMaxID(m *atomic.Uint32, id uint32) {
 	}
 }
 
-// RetrainShard rebuilds shard s's index over its trained sets plus the
-// pending delta and hot-swaps it. Returns nil without building when the
-// delta is empty.
-func (x *Index) RetrainShard(s int) error {
-	if s < 0 || s >= x.k {
-		return fmt.Errorf("shard: retrain: shard %d out of range [0, %d)", s, x.k)
-	}
-	if x.opts == nil {
-		return fmt.Errorf("shard: retrain: container loaded without retrain state (v1 stream)")
-	}
-	x.retrainMu.Lock()
-	defer x.retrainMu.Unlock()
-	old := x.states[s].Load()
-	snap := old.delta.Snapshot()
-	cut := len(snap)
-	if cut == 0 {
-		return nil
-	}
-	sub, global := mergeTrained(old.sub, old.global, snap)
-	opts := *x.opts
-	opts.Model.Seed = x.baseSeed + int64(s)
-	t0 := time.Now()
-	idx, err := core.BuildIndex(sub, opts)
-	if err != nil {
-		return fmt.Errorf("shard: retrain shard %d: %w", s, err)
-	}
-	if fp := x.fast.Load(); fp != nil {
-		idx.EnableFastPath(*fp)
-	}
-	stat := BuildStat{
-		Shard: s, Sets: sub.Len(),
-		BuildSecs: time.Since(t0).Seconds(),
-		Bytes:     idx.SizeBytes(),
-		MaxError:  idx.MaxError(),
-	}
-	x.insertMu.Lock()
-	tail := old.delta.Tail(cut)
-	x.states[s].Store(&indexShard{
-		idx: idx, sub: sub, global: global,
-		delta: hybrid.NewDeltaFrom(tail), stat: stat,
-	})
-	x.insertMu.Unlock()
-	x.absorbed.Add(uint64(cut))
-	raiseMaxID(&x.maxID, sub.MaxID())
-	return nil
+// RetrainShard rebuilds shard s over its trained sets plus the pending
+// delta and hot-swaps it. Returns nil without building when the delta is
+// empty. Requires the shard sub-collections (present after a build or an
+// index load; a loaded estimator or filter needs AttachCollection first).
+func (c *container[M, O]) RetrainShard(s int) error {
+	return c.retrain(s, func(next *state[M], _ []hybrid.DeltaEntry) { c.states[s].Store(next) })
 }
 
-// RetrainShard rebuilds shard s's estimator over its trained sets plus the
-// pending delta and hot-swaps it, folding the absorbed counts into any
-// exact overrides so their composed answers do not move. Returns nil
-// without building when the delta is empty. Requires the shard
-// sub-collections (present after a build; a loaded estimator needs
-// AttachCollection first).
-func (e *Estimator) RetrainShard(s int) error {
-	if s < 0 || s >= e.k {
-		return fmt.Errorf("shard: retrain: shard %d out of range [0, %d)", s, e.k)
+// retrain is the retrain protocol above. swap publishes the new state; it
+// runs under insertMu with the absorbed delta entries, so a wrapper can
+// publish under its own lock and fold what was absorbed.
+func (c *container[M, O]) retrain(s int, swap func(next *state[M], absorbed []hybrid.DeltaEntry)) error {
+	if s < 0 || s >= c.k {
+		return fmt.Errorf("shard: retrain: shard %d out of range [0, %d)", s, c.k)
 	}
-	if e.opts == nil {
+	if c.opts == nil {
 		return fmt.Errorf("shard: retrain: container loaded without retrain state (v1 stream)")
 	}
-	e.retrainMu.Lock()
-	defer e.retrainMu.Unlock()
-	old := e.states[s].Load()
+	c.retrainMu.Lock()
+	defer c.retrainMu.Unlock()
+	old := c.states[s].Load()
 	if old.sub == nil {
 		return fmt.Errorf("shard: retrain shard %d: no collection attached (call AttachCollection)", s)
 	}
@@ -157,186 +115,61 @@ func (e *Estimator) RetrainShard(s int) error {
 		return nil
 	}
 	sub, global := mergeTrained(old.sub, old.global, snap)
-	opts := *e.opts
-	opts.Model.Seed = e.baseSeed + int64(s)
-	t0 := time.Now()
-	est, err := core.BuildEstimator(sub, opts)
+	next, err := c.train(s, sub, global)
 	if err != nil {
 		return fmt.Errorf("shard: retrain shard %d: %w", s, err)
 	}
-	if fp := e.fast.Load(); fp != nil {
-		est.EnableFastPath(*fp)
-	}
-	stat := BuildStat{
-		Shard: s, Sets: sub.Len(),
-		BuildSecs: time.Since(t0).Seconds(),
-		Bytes:     est.SizeBytes(),
-	}
-	// The swap and the override folding happen inside one auxMu critical
-	// section: an override reader holds the read lock across its override
-	// + delta-count composition, so it either sees (old delta counts, old
-	// override values) or (tail counts, folded values) — both exact.
-	e.insertMu.Lock()
-	e.auxMu.Lock()
-	tail := old.delta.Tail(cut)
-	e.states[s].Store(&estShard{
-		est: est, sub: sub, global: global,
-		delta: hybrid.NewDeltaFrom(tail), stat: stat,
-	})
-	for key, ov := range e.aux {
-		folded := 0.0
-		for _, en := range snap {
-			if en.Set.ContainsAll(ov.set) {
-				folded++
-			}
-		}
-		if folded > 0 {
-			ov.card += folded
-			e.aux[key] = ov
-		}
-	}
-	// The rebuilt model's error over the measured workload is unknown.
-	e.bounds = nil
-	e.auxMu.Unlock()
-	e.insertMu.Unlock()
-	e.absorbed.Add(uint64(cut))
-	raiseMaxID(&e.maxID, sub.MaxID())
+	c.insertMu.Lock()
+	next.delta = hybrid.NewDeltaFrom(old.delta.Tail(cut))
+	swap(next, snap)
+	c.insertMu.Unlock()
+	c.absorbed.Add(uint64(cut))
+	raiseMaxID(&c.maxID, sub.MaxID())
 	return nil
 }
 
-// RetrainShard rebuilds shard s's membership filter over its trained sets
-// plus the pending delta and hot-swaps it. Returns nil without building
-// when the delta is empty. Requires the shard sub-collections (present
-// after a build; a loaded filter needs AttachCollection first).
-func (f *Filter) RetrainShard(s int) error {
-	if s < 0 || s >= f.k {
-		return fmt.Errorf("shard: retrain: shard %d out of range [0, %d)", s, f.k)
+// AttachCollection gives a loaded container its collection back, enabling
+// retrains: each shard's sub-collection is rebuilt from the persisted
+// position maps, resolving each position from the base collection or the
+// inserted-set log. col must be the collection the container was
+// originally built over (it may be longer; only the first baseLen sets are
+// used). A shard with no trained sets needs no map and gets an empty
+// sub-collection.
+func (c *container[M, O]) AttachCollection(col *sets.Collection) error {
+	if c.opts == nil {
+		return fmt.Errorf("shard: attach: container loaded without retrain state (v1 stream)")
 	}
-	if f.opts == nil {
-		return fmt.Errorf("shard: retrain: container loaded without retrain state (v1 stream)")
-	}
-	f.retrainMu.Lock()
-	defer f.retrainMu.Unlock()
-	old := f.states[s].Load()
-	if old.sub == nil {
-		return fmt.Errorf("shard: retrain shard %d: no collection attached (call AttachCollection)", s)
-	}
-	snap := old.delta.Snapshot()
-	cut := len(snap)
-	if cut == 0 {
-		return nil
-	}
-	sub, global := mergeTrained(old.sub, old.global, snap)
-	opts := *f.opts
-	opts.Model.Seed = f.baseSeed + int64(s)
-	t0 := time.Now()
-	flt, err := core.BuildMembershipFilter(sub, opts)
-	if err != nil {
-		return fmt.Errorf("shard: retrain shard %d: %w", s, err)
-	}
-	if fp := f.fast.Load(); fp != nil {
-		flt.EnableFastPath(*fp)
-	}
-	stat := BuildStat{
-		Shard: s, Sets: sub.Len(),
-		BuildSecs: time.Since(t0).Seconds(),
-		Bytes:     flt.SizeBytes(),
-	}
-	f.insertMu.Lock()
-	tail := old.delta.Tail(cut)
-	f.states[s].Store(&fltShard{
-		flt: flt, sub: sub, global: global,
-		delta: hybrid.NewDeltaFrom(tail), stat: stat,
-	})
-	f.insertMu.Unlock()
-	f.absorbed.Add(uint64(cut))
-	raiseMaxID(&f.maxID, sub.MaxID())
-	return nil
-}
-
-// attachSubs rebuilds each shard's sub-collection from its persisted
-// global positions, resolving each position from the base collection or
-// the inserted-set log. Shared by the estimator and filter
-// AttachCollection implementations.
-func attachSubs(k, baseLen int, c *sets.Collection, inserted []hybrid.DeltaEntry,
-	global func(s int) []int, store func(s int, sub *sets.Collection) error) error {
-	if c == nil {
+	c.retrainMu.Lock()
+	defer c.retrainMu.Unlock()
+	c.insertMu.Lock()
+	defer c.insertMu.Unlock()
+	if col == nil {
 		return fmt.Errorf("shard: attach: nil collection")
 	}
-	if c.Len() < baseLen {
-		return fmt.Errorf("shard: attach: collection has %d sets, container was built over %d", c.Len(), baseLen)
+	if col.Len() < c.baseLen {
+		return fmt.Errorf("shard: attach: collection has %d sets, container was built over %d", col.Len(), c.baseLen)
 	}
-	byPos := make(map[int]sets.Set, len(inserted))
-	for _, en := range inserted {
+	byPos := make(map[int]sets.Set, len(c.inserted))
+	for _, en := range c.inserted {
 		byPos[en.Pos] = en.Set
 	}
-	for s := 0; s < k; s++ {
-		g := global(s)
-		if g == nil {
+	next := make([]*state[M], c.k)
+	for s := range next {
+		st := *c.states[s].Load()
+		if st.global == nil && st.stat.Sets > 0 {
 			return fmt.Errorf("shard: attach: shard %d has no position map (v1 stream)", s)
 		}
-		sub := &sets.Collection{Sets: make([]sets.Set, 0, len(g))}
-		for _, pos := range g {
-			switch {
-			case pos >= 0 && pos < baseLen:
-				sub.Append(c.At(pos))
-			case byPos[pos] != nil:
-				sub.Append(byPos[pos])
-			default:
-				return fmt.Errorf("shard: attach: shard %d references unknown position %d", s, pos)
-			}
+		sub, err := resolveSub(st.global, c.baseLen, col, byPos)
+		if err != nil {
+			return fmt.Errorf("shard: attach: shard %d: %w", s, err)
 		}
-		if err := store(s, sub); err != nil {
-			return err
-		}
+		st.sub = sub
+		next[s] = &st
+	}
+	for s, st := range next {
+		c.states[s].Store(st)
 	}
 	return nil
-}
-
-// AttachCollection gives a loaded estimator its collection back, enabling
-// retrains: each shard's sub-collection is rebuilt from the persisted
-// position maps. c must be the collection the container was originally
-// built over (it may be longer; only the first baseLen sets are used).
-func (e *Estimator) AttachCollection(c *sets.Collection) error {
-	if e.opts == nil {
-		return fmt.Errorf("shard: attach: container loaded without retrain state (v1 stream)")
-	}
-	e.retrainMu.Lock()
-	defer e.retrainMu.Unlock()
-	e.insertMu.Lock()
-	defer e.insertMu.Unlock()
-	return attachSubs(e.k, e.baseLen, c, e.inserted,
-		func(s int) []int { return e.states[s].Load().global },
-		func(s int, sub *sets.Collection) error {
-			st := e.states[s].Load()
-			e.states[s].Store(&estShard{
-				est: st.est, sub: sub, global: st.global,
-				delta: st.delta, stat: st.stat,
-			})
-			return nil
-		})
-}
-
-// AttachCollection gives a loaded filter its collection back, enabling
-// retrains (see Estimator.AttachCollection).
-func (f *Filter) AttachCollection(c *sets.Collection) error {
-	if f.opts == nil {
-		return fmt.Errorf("shard: attach: container loaded without retrain state (v1 stream)")
-	}
-	f.retrainMu.Lock()
-	defer f.retrainMu.Unlock()
-	f.insertMu.Lock()
-	defer f.insertMu.Unlock()
-	return attachSubs(f.k, f.baseLen, c, f.inserted,
-		func(s int) []int { return f.states[s].Load().global },
-		func(s int, sub *sets.Collection) error {
-			st := f.states[s].Load()
-			f.states[s].Store(&fltShard{
-				flt: st.flt, sub: sub, global: st.global,
-				delta: st.delta, stat: st.stat,
-			})
-			return nil
-		})
 }
 
 // TrainerStats are the background trainer's counters, published by the

@@ -20,8 +20,15 @@
 // sets), which is what makes the K-way build cheaper than the monolith.
 //
 // Shards are built in parallel by a bounded worker pool with per-shard
-// error aggregation; empty shards (possible under hash partitioning) are
-// represented as nil and skipped by queries.
+// error aggregation. An empty shard (possible under hash partitioning) is a
+// state without a model: queries skip its model, but its exact delta is
+// still consulted, so sets inserted into it answer at once.
+//
+// One generic container owns everything that does not depend on the
+// structure kind: the partition, the write path, the retrain protocol and
+// the persistence loop. Index, Estimator and Filter embed it and add only
+// their fan-in and their kind-specific state, and a small per-kind function
+// table (kind) tells the container how to build, load and persist a shard.
 package shard
 
 import (
@@ -31,7 +38,6 @@ import (
 	"sync"
 
 	"setlearn/internal/core"
-	"setlearn/internal/deepsets"
 	"setlearn/internal/sets"
 )
 
@@ -94,21 +100,6 @@ func ParsePartitioner(s string) (Partitioner, error) {
 	}
 }
 
-// Scaling selects how per-shard model capacity relates to the monolith's.
-type Scaling int
-
-const (
-	// ScaleSqrtK (the default) divides the model dimensions — EmbedDim,
-	// PhiHidden, PhiOut, RhoHidden — by √K (floor 4, never upscaled). Each
-	// shard sees ~1/K of the sets, so a smaller latent suffices (Wagstaff
-	// et al.), and the K-way build does less total work than the monolith
-	// even on one core. K=1 is the identity, preserving the K=1 ≡ monolith
-	// equivalence.
-	ScaleSqrtK Scaling = iota
-	// ScaleNone gives every shard the full monolithic model capacity.
-	ScaleNone
-)
-
 // Options configures a sharded build.
 type Options struct {
 	// Shards is the shard count K (default 4).
@@ -117,8 +108,6 @@ type Options struct {
 	Partitioner Partitioner
 	// Parallelism bounds the build worker pool (default GOMAXPROCS).
 	Parallelism int
-	// Scaling sets the per-shard model capacity policy (default ScaleSqrtK).
-	Scaling Scaling
 	// MeasureBounds (estimator builds only) measures each shard's maximum
 	// absolute estimation error over the global trained-subset workload, so
 	// the container can report a combined error bound Σ per-shard bounds
@@ -150,11 +139,15 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// ScaleModel returns the per-shard model options under the scaling policy.
-// Defaults are materialized first so the division matches what the monolith
-// would actually build.
-func ScaleModel(o core.ModelOptions, k int, s Scaling) core.ModelOptions {
-	if s == ScaleNone || k <= 1 {
+// scaleModel returns the per-shard model options: every model dimension —
+// EmbedDim, PhiHidden, PhiOut, RhoHidden — divided by √K (floor 4, never
+// upscaled). Each shard sees ~1/K of the sets, so a smaller latent suffices
+// (Wagstaff et al.), and the K-way build does less total work than the
+// monolith even on one core. K=1 is the identity, preserving the K=1 ≡
+// monolith equivalence. Defaults are materialized first so the division
+// matches what the monolith would actually build.
+func scaleModel(o core.ModelOptions, k int) core.ModelOptions {
+	if k <= 1 {
 		return o
 	}
 	f := math.Sqrt(float64(k))
@@ -290,44 +283,6 @@ func fanOut(k int, fn func(s int)) {
 	if panicShard >= 0 {
 		panic(panicVal)
 	}
-}
-
-// phiStatser is the per-shard φ stats surface shared by the three core types.
-type phiStatser interface {
-	PhiStats() (deepsets.AccelStats, bool)
-}
-
-// aggregatePhi merges per-shard accel stats; Mode is "mixed" when shards
-// disagree (e.g. a small shard tabulates while a large one caches).
-func aggregatePhi(shards []phiStatser) (deepsets.AccelStats, bool) {
-	var agg deepsets.AccelStats
-	any := false
-	for _, sh := range shards {
-		st, ok := sh.PhiStats()
-		if !ok {
-			continue
-		}
-		if !any {
-			agg.Mode = st.Mode
-		} else if agg.Mode != st.Mode {
-			agg.Mode = "mixed"
-		}
-		any = true
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.Entries += st.Entries
-		agg.Shards += st.Shards
-		agg.Bytes += st.Bytes
-	}
-	return agg, any
-}
-
-// mergeMode folds one shard's fast-path mode into the container's summary.
-func mergeMode(acc, mode string) string {
-	if acc == "" || acc == mode {
-		return mode
-	}
-	return "mixed"
 }
 
 func validate(c *sets.Collection) error {
