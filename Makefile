@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet lint lint-dataflow lint-interproc lint-publication lint-all test race race-mutation bench bench-inference bench-sharding bench-gate fuzz-smoke experiments examples clean
+.PHONY: all build fmt-check vet lint test race race-mutation bench bench-inference bench-sharding bench-gate fuzz-smoke experiments examples clean
 
-all: build vet lint-all test race
+all: build vet lint test race
 
 build:
 	$(GO) build ./...
@@ -15,69 +15,16 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# setlearnlint: the repo's custom analyzers — syntactic (floateq,
-# poolpair, lockescape, globalrand, binioerr), path-sensitive
-# (lockbalance, waitgroup, goroleak, deferclose), interprocedural
-# (noalloc, trustlen), and publication-safety (pubfreeze, atomicmix,
-# mapiterorder). See README "Development". CI runs `make lint-all`.
-lint:
-	$(GO) run ./cmd/setlearnlint ./...
-
-# Just the CFG/dataflow-backed analyzers, for a fast check while working
-# on concurrency-heavy code.
-lint-dataflow:
-	$(GO) run ./cmd/setlearnlint -run deferclose,goroleak,lockbalance,waitgroup ./...
-
-# The interprocedural analyzers (call graph + function summaries): the
-# hot-path zero-allocation contract and the untrusted-length taint check.
-# Two halves, both mandatory:
-#   1. the real tree must be clean, and
-#   2. the seeded regression in testdata/seedmod — a hotpath that hides an
-#      allocation two calls deep and a loader that trusts a decoded length
-#      — must STILL FAIL, proving the machinery detects what it exists to
-#      detect before we trust its silence on the real packages.
-lint-interproc:
-	$(GO) run ./cmd/setlearnlint -run noalloc,trustlen ./...
-	@echo "checking the seeded regression still fails..."
-	@if $(GO) run ./cmd/setlearnlint -run noalloc,trustlen ./internal/lint/testdata/seedmod >/tmp/seedmod.out 2>&1; then \
-		echo "lint-interproc: seeded regression PASSED the analyzers — the interprocedural machinery is broken"; \
-		cat /tmp/seedmod.out; exit 1; \
-	fi
-	@grep -q "noalloc" /tmp/seedmod.out || { echo "lint-interproc: seeded noalloc finding missing"; cat /tmp/seedmod.out; exit 1; }
-	@grep -q "trustlen" /tmp/seedmod.out || { echo "lint-interproc: seeded trustlen finding missing"; cat /tmp/seedmod.out; exit 1; }
-	@echo "seeded regression rejected as expected."
-
-# The publication-safety family: frozen-after-publish (pubfreeze),
-# atomic/plain access mixing (atomicmix), and map-iteration determinism
-# (mapiterorder).
-lint-publication:
-	$(GO) run ./cmd/setlearnlint -run atomicmix,mapiterorder,pubfreeze ./...
-
-# The one lint gate CI runs: gofmt, then every analyzer family under its
-# own wall-clock budget (a runaway fixed-point loop fails the family, not
-# the CI job timeout), then the seeded regressions — testdata/seedmod
-# carries one deliberate violation per interprocedural and
-# publication-safety analyzer, and the gate FAILS THE BUILD if any of the
-# five analyzers stops rejecting its seed, proving the machinery detects
-# what it exists to detect before we trust its silence on the real tree.
-lint-all: fmt-check
-	@echo "== syntactic analyzers =="
-	timeout 120 $(GO) run ./cmd/setlearnlint -run binioerr,floateq,globalrand,lockescape,poolpair ./...
-	@echo "== path-sensitive dataflow analyzers =="
-	timeout 180 $(GO) run ./cmd/setlearnlint -run deferclose,goroleak,lockbalance,waitgroup ./...
-	@echo "== interprocedural analyzers =="
-	timeout 300 $(GO) run ./cmd/setlearnlint -run noalloc,trustlen ./...
-	@echo "== publication-safety analyzers =="
-	timeout 300 $(GO) run ./cmd/setlearnlint -run atomicmix,mapiterorder,pubfreeze ./...
-	@echo "== seeded regressions (must fail) =="
-	@if timeout 300 $(GO) run ./cmd/setlearnlint -run noalloc,trustlen,atomicmix,mapiterorder,pubfreeze ./internal/lint/testdata/seedmod >/tmp/seedmod.out 2>&1; then \
-		echo "lint-all: seeded regression PASSED the analyzers — the lint machinery is broken"; \
-		cat /tmp/seedmod.out; exit 1; \
-	fi
-	@for a in noalloc trustlen pubfreeze atomicmix mapiterorder; do \
-		grep -q "($$a)" /tmp/seedmod.out || { echo "lint-all: seeded $$a finding missing"; cat /tmp/seedmod.out; exit 1; }; \
-	done
-	@echo "seeded regressions rejected as expected."
+# The one lint gate CI runs: gofmt, then every setlearnlint analyzer —
+# syntactic (binioerr, floateq, globalrand, lockescape, poolpair),
+# path-sensitive (deferclose, goroleak, lockbalance, waitgroup) and
+# interprocedural (pubfreeze, trustlen) — in one driver run under a
+# wall-clock budget, so a runaway fixed-point loop fails here rather than
+# at the CI job timeout. See README "Development". TestSeededRegressions
+# (go test ./internal/lint) checks that the interprocedural analyzers still
+# reject their seeds in testdata/seedmod.
+lint: fmt-check
+	timeout 300 $(GO) run ./cmd/setlearnlint ./...
 
 test:
 	$(GO) test ./...

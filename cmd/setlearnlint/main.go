@@ -2,16 +2,8 @@
 // determinism, pooling, and locking invariants the serving stack depends
 // on, enforced mechanically instead of by review.
 //
-// Standalone:
-//
 //	go run ./cmd/setlearnlint ./...
 //	go run ./cmd/setlearnlint -run floateq,poolpair ./internal/deepsets
-//
-// As a go vet tool (one analysis unit per package, driven by the build
-// system's export data):
-//
-//	go build -o bin/setlearnlint ./cmd/setlearnlint
-//	go vet -vettool=$(pwd)/bin/setlearnlint ./...
 //
 // Exit status: 0 clean, 1 findings, 2 operational errors (parse or type
 // failures). Findings are suppressed line-by-line with
@@ -33,30 +25,11 @@ func main() {
 }
 
 func run(args []string) int {
-	// go vet's protocol: the tool is probed with -V=full (version
-	// handshake) and -flags (supported flags, as JSON), then invoked with
-	// a single *.cfg argument per package.
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full" || args[0] == "--V=full":
-			printVersion()
-			return 0
-		case args[0] == "-flags" || args[0] == "--flags":
-			fmt.Println("[]")
-			return 0
-		case strings.HasSuffix(args[0], ".cfg"):
-			return unitcheck(args[0])
-		}
-	}
-
 	fs := flag.NewFlagSet("setlearnlint", flag.ExitOnError)
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
-	jsonOut := fs.Bool("json", false, "emit findings as one JSON document (file/line/analyzer/message/trace)")
-	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log for code-scanning uploads")
-	timing := fs.Bool("timing", false, "print per-analyzer wall time to stderr after the run")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: setlearnlint [-list] [-json] [-sarif] [-timing] [-run a,b] [packages]\n\n")
+		fmt.Fprintf(fs.Output(), "usage: setlearnlint [-list] [-run a,b] [packages]\n\n")
 		fmt.Fprintf(fs.Output(), "Analyzers:\n")
 		for _, a := range lint.Analyzers {
 			fmt.Fprintf(fs.Output(), "  %-13s %s\n", a.Name, a.Doc)
@@ -64,10 +37,6 @@ func run(args []string) int {
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "setlearnlint: -json and -sarif are mutually exclusive")
 		return 2
 	}
 
@@ -96,11 +65,7 @@ func run(args []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	opts := lint.Options{JSON: *jsonOut, SARIF: *sarifOut}
-	if *timing {
-		opts.Timing = os.Stderr
-	}
-	res, err := lint.RunWithOptions(".", patterns, analyzers, os.Stdout, opts)
+	res, err := lint.Run(".", patterns, analyzers, os.Stdout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "setlearnlint: %v\n", err)
 		return 2

@@ -75,8 +75,12 @@ func (o ModelOptions) trainConfig() train.Config {
 	}
 }
 
-// validateCollection rejects collections the structures cannot be built on.
-func validateCollection(c *sets.Collection) error {
+// validateBuild rejects collections the structures cannot be built on and
+// subset caps their own loader would reject.
+func validateBuild(c *sets.Collection, maxSubset int) error {
+	if maxSubset < 0 || maxSubset > maxSubsetBound {
+		return fmt.Errorf("core: subset cap %d out of range [0, %d]", maxSubset, maxSubsetBound)
+	}
 	if c == nil || c.Len() == 0 {
 		return fmt.Errorf("core: empty collection")
 	}

@@ -238,6 +238,34 @@ func TestBuildersRejectEmptyCollection(t *testing.T) {
 	}
 }
 
+// TestFilterNegativeSamplerSmallInputs: the negative sampler draws subsets
+// of 2..MaxSubset distinct ids from the collection's elements. A universe
+// smaller than the drawn size used to hang it, and a cap below 2 used to
+// panic in rand.Intn; both now build a filter with no false negatives.
+func TestFilterNegativeSamplerSmallInputs(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		c         *sets.Collection
+		maxSubset int
+	}{
+		{"universe smaller than the draw", sets.NewCollection([]sets.Set{sets.New(1, 2)}), 3},
+		{"cap below two", dataset.GenerateSD(60, 20, 71), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := BuildMembershipFilter(tc.c, FilterOptions{Model: tinyModel(), MaxSubset: tc.maxSubset})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := dataset.CollectSubsets(tc.c, tc.maxSubset)
+			for _, k := range st.Keys {
+				if q := st.ByKey[k].Set; !f.Contains(q) {
+					t.Fatalf("false negative for trained subset %v", q)
+				}
+			}
+		})
+	}
+}
+
 func TestSandwichedFilterNoFalseNegatives(t *testing.T) {
 	c := dataset.GenerateRW(250, 500, 55)
 	f, err := BuildMembershipFilter(c, FilterOptions{

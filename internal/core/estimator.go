@@ -34,7 +34,7 @@ type CardinalityEstimator struct {
 
 // BuildEstimator trains a learned cardinality estimator over c.
 func BuildEstimator(c *sets.Collection, opts EstimatorOptions) (*CardinalityEstimator, error) {
-	if err := validateCollection(c); err != nil {
+	if err := validateBuild(c, opts.MaxSubset); err != nil {
 		return nil, err
 	}
 	if opts.MaxSubset == 0 {

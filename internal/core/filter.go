@@ -58,7 +58,7 @@ type MembershipFilter struct {
 
 // BuildMembershipFilter trains a learned membership filter over c.
 func BuildMembershipFilter(c *sets.Collection, opts FilterOptions) (*MembershipFilter, error) {
-	if err := validateCollection(c); err != nil {
+	if err := validateBuild(c, opts.MaxSubset); err != nil {
 		return nil, err
 	}
 	if opts.MaxSubset == 0 {

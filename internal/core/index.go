@@ -47,7 +47,7 @@ type SetIndex struct {
 // BuildIndex trains a learned set index over c. The collection is captured
 // by reference; it must not be mutated afterwards except through Insert.
 func BuildIndex(c *sets.Collection, opts IndexOptions) (*SetIndex, error) {
-	if err := validateCollection(c); err != nil {
+	if err := validateBuild(c, opts.MaxSubset); err != nil {
 		return nil, err
 	}
 	if opts.MaxSubset == 0 {

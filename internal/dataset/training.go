@@ -128,10 +128,15 @@ func (st *SubsetStats) MembershipSamples(c *sets.Collection, maxSubset int, negP
 
 	rng := rand.New(rand.NewSource(seed))
 	wantNeg := int(negPerPos * float64(len(md.Positive)))
-	// Sizes ≥ 2: any single observed element is trivially positive.
+	if maxSubset < 2 {
+		return md // sizes ≥ 2 only: any single observed element is trivially positive
+	}
 	maxTry := 100 * wantNeg
 	for tries := 0; len(md.Negative) < wantNeg && tries < maxTry; tries++ {
 		k := 2 + rng.Intn(maxSubset-1)
+		if k > len(universe) {
+			continue // not enough distinct ids; the draw counts as a spent try
+		}
 		ids := make([]uint32, 0, k)
 		seen := make(map[uint32]bool, k)
 		for len(ids) < k {

@@ -191,8 +191,6 @@ func (d *Delta) FirstPos(q sets.Set, equal bool) int {
 
 // Count returns the number of entries containing q — the exact additive
 // contribution of pending inserts to a cardinality estimate.
-//
-//lint:hotpath
 func (d *Delta) Count(q sets.Set) float64 {
 	if len(q) == 0 {
 		return 0
@@ -214,8 +212,6 @@ func (d *Delta) Count(q sets.Set) float64 {
 
 // Contains reports whether q is a subset of some pending entry — the
 // membership task's exact OR contribution.
-//
-//lint:hotpath
 func (d *Delta) Contains(q sets.Set) bool {
 	if len(q) == 0 {
 		return false // defer to the structure's empty-set convention

@@ -413,8 +413,7 @@ func ingestFixture(tb testing.TB) (*Delta, []sets.Set) {
 }
 
 // TestDeltaReadsAllocFree pins the delta read paths at zero allocations on
-// a non-empty delta; the noalloc analyzer checks Count and Contains
-// statically, this checks all three at run time.
+// a non-empty delta.
 func TestDeltaReadsAllocFree(t *testing.T) {
 	d := NewDelta()
 	for i := 0; i < 64; i++ {

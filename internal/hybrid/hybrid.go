@@ -225,8 +225,6 @@ func (idx *Index) scanFromEstimate(q sets.Set, est int, equal bool) int {
 // at the cost of one word test and never skips a hit (see sets.Signature).
 // Positions appended after build or load take the plain merge. q must be
 // non-empty: Signature(∅) = 0 covers every set.
-//
-//lint:hotpath
 func (idx *Index) firstInRange(q sets.Set, lo, hi int, equal bool) int {
 	ss := idx.collection.Sets
 	lo, hi = max(lo, 0), min(hi, len(ss)-1)

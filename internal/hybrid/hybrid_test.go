@@ -444,8 +444,7 @@ func TestIndexScanMatchesReference(t *testing.T) {
 	checkScan(t, "load+append", loaded, withEdges(longer, nLoad), rng)
 }
 
-// TestIndexScanAllocFree pins firstInRange at zero allocations; the noalloc
-// analyzer checks it statically through its //lint:hotpath mark.
+// TestIndexScanAllocFree pins firstInRange at zero allocations.
 func TestIndexScanAllocFree(t *testing.T) {
 	f := newFixture(t)
 	idx, err := BuildIndex(f.c, f.model, f.scaler, f.guided, IndexConfig{})

@@ -60,12 +60,6 @@ type Diagnostic struct {
 	Pos      token.Pos
 	Message  string
 	Analyzer string
-
-	// Trace, when non-empty, is the interprocedural call chain that leads
-	// from the reported position to the construct the finding is about —
-	// one human-readable step per element, outermost first. Intraprocedural
-	// analyzers leave it nil.
-	Trace []string
 }
 
 // PackageInfo describes one loaded, type-checked package for the benefit
@@ -81,8 +75,8 @@ type PackageInfo struct {
 }
 
 // Shared is a per-run cache shared by every Pass a driver creates in one
-// invocation, so interprocedural state (loaded packages, call graphs,
-// function summaries) is computed once per run rather than once per
+// invocation, so interprocedural state (loaded packages, function
+// summaries) is computed once per run rather than once per
 // (package, analyzer) pair. Safe for concurrent use.
 type Shared struct {
 	mu sync.Mutex
@@ -116,15 +110,14 @@ type Pass struct {
 
 	// LoadPackage, when set by the driver, resolves a module-local import
 	// path to its parsed, type-checked sources so interprocedural analyzers
-	// can follow call chains across package boundaries. Drivers that cannot
-	// load dependency source (the vet unitchecker, which only sees export
-	// data) leave it nil, and such analyzers degrade to package-local
-	// reasoning.
+	// can follow call chains across package boundaries. The single-package
+	// test harness leaves it nil, and such analyzers degrade to
+	// package-local reasoning.
 	LoadPackage func(path string) (*PackageInfo, error)
 
-	// Shared is the per-run cache described above. Drivers that run one
-	// package at a time may leave it nil; PassShared lazily creates a
-	// pass-private cache in that case so analyzers need not nil-check.
+	// Shared is the per-run cache described above. The single-package test
+	// harness leaves it nil; PassShared lazily creates a pass-private cache
+	// in that case so analyzers need not nil-check.
 	Shared *Shared
 
 	suppress *suppressionIndex
@@ -171,17 +164,10 @@ func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Pac
 // Reportf reports a diagnostic at pos unless a well-formed
 // //lint:allow comment for this analyzer covers that line.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.ReportTracef(pos, nil, format, args...)
-}
-
-// ReportTracef reports a diagnostic carrying an interprocedural call-chain
-// trace. Suppression applies at pos exactly as for Reportf: an allow
-// comment at the reported (root) line silences the whole chain.
-func (p *Pass) ReportTracef(pos token.Pos, trace []string, format string, args ...interface{}) {
 	if p.suppress.allows(p.Analyzer.Name, p.Fset.Position(pos)) {
 		return
 	}
-	p.sink(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name, Trace: trace})
+	p.sink(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
 }
 
 // CFG returns the control-flow graph of fn's body, where fn is an

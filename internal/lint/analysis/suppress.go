@@ -135,8 +135,8 @@ func (idx *suppressionIndex) malformed(analyzer string) []token.Pos {
 // Suppressions is the //lint:allow index for an arbitrary file set,
 // exported for interprocedural analyzers that must honour suppressions in
 // packages other than the one their Pass was created for (e.g. an allow
-// comment on a leaf allocation site silencing it in every hotpath trace
-// that reaches it).
+// comment on a helper's mutation silencing it at every publish site whose
+// call chain reaches it).
 type Suppressions struct{ idx *suppressionIndex }
 
 // BuildSuppressions indexes the well-formed //lint:allow comments in files.

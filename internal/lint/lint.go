@@ -6,16 +6,13 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"setlearn/internal/lint/analysis"
-	"setlearn/internal/lint/atomicmix"
 	"setlearn/internal/lint/binioerr"
 	"setlearn/internal/lint/deferclose"
 	"setlearn/internal/lint/floateq"
@@ -24,8 +21,6 @@ import (
 	"setlearn/internal/lint/load"
 	"setlearn/internal/lint/lockbalance"
 	"setlearn/internal/lint/lockescape"
-	"setlearn/internal/lint/mapiterorder"
-	"setlearn/internal/lint/noalloc"
 	"setlearn/internal/lint/poolpair"
 	"setlearn/internal/lint/pubfreeze"
 	"setlearn/internal/lint/trustlen"
@@ -34,7 +29,6 @@ import (
 
 // Analyzers is the full setlearnlint suite, in stable order.
 var Analyzers = []*analysis.Analyzer{
-	atomicmix.Analyzer,
 	binioerr.Analyzer,
 	deferclose.Analyzer,
 	floateq.Analyzer,
@@ -42,8 +36,6 @@ var Analyzers = []*analysis.Analyzer{
 	goroleak.Analyzer,
 	lockbalance.Analyzer,
 	lockescape.Analyzer,
-	mapiterorder.Analyzer,
-	noalloc.Analyzer,
 	poolpair.Analyzer,
 	pubfreeze.Analyzer,
 	trustlen.Analyzer,
@@ -67,49 +59,11 @@ type Result struct {
 	Packages    int // packages analysed
 }
 
-// Options tunes a driver run.
-type Options struct {
-	// JSON switches the output from file:line:col text lines to one JSON
-	// document (see jsonReport) so CI can annotate pull requests.
-	JSON bool
-
-	// SARIF switches the output to a SARIF 2.1.0 log (one run, one result
-	// per finding, interprocedural traces as relatedLocations) for code
-	// scanning uploads. Takes precedence over JSON.
-	SARIF bool
-
-	// Timing, when non-nil, receives one line per analyzer with its
-	// cumulative wall time across all analysed packages, slowest first.
-	Timing io.Writer
-}
-
-// jsonDiagnostic is one finding in -json output.
-type jsonDiagnostic struct {
-	File     string   `json:"file"` // module-relative, forward slashes
-	Line     int      `json:"line"`
-	Col      int      `json:"col"`
-	Analyzer string   `json:"analyzer"`
-	Message  string   `json:"message"`
-	Trace    []string `json:"trace,omitempty"` // interprocedural call chain, outermost first
-}
-
-// jsonReport is the document -json emits.
-type jsonReport struct {
-	Diagnostics []jsonDiagnostic `json:"diagnostics"`
-	Errors      []string         `json:"errors"`
-	Packages    int              `json:"packages"`
-}
-
 // Run lints the packages matching patterns (relative to dir) with the
 // given analyzers (all of them when analyzers is nil), writing
 // file:line:col-style findings to w. Scope restrictions apply: a scoped
 // analyzer only sees its packages.
 func Run(dir string, patterns []string, analyzers []*analysis.Analyzer, w io.Writer) (Result, error) {
-	return RunWithOptions(dir, patterns, analyzers, w, Options{})
-}
-
-// RunWithOptions is Run with output options.
-func RunWithOptions(dir string, patterns []string, analyzers []*analysis.Analyzer, w io.Writer, opts Options) (Result, error) {
 	if analyzers == nil {
 		analyzers = Analyzers
 	}
@@ -123,15 +77,9 @@ func RunWithOptions(dir string, patterns []string, analyzers []*analysis.Analyze
 		return res, err
 	}
 
-	structured := opts.JSON || opts.SARIF
-	report := jsonReport{Diagnostics: []jsonDiagnostic{}, Errors: []string{}}
 	errf := func(format string, args ...any) {
 		res.Errors++
-		if structured {
-			report.Errors = append(report.Errors, fmt.Sprintf(format, args...))
-		} else {
-			fmt.Fprintf(w, format+"\n", args...)
-		}
+		fmt.Fprintf(w, format+"\n", args...)
 	}
 
 	// One Shared cache and one package-load cache per run. The main loop
@@ -178,7 +126,6 @@ func RunWithOptions(dir string, patterns []string, analyzers []*analysis.Analyze
 		return e.pi, e.err
 	}
 
-	timing := make(map[string]time.Duration)
 	for _, d := range dirs {
 		e := loadDir(d)
 		if e.err != nil {
@@ -190,7 +137,7 @@ func RunWithOptions(dir string, patterns []string, analyzers []*analysis.Analyze
 		for _, terr := range pkg.TypeErrors {
 			errf("%v", terr)
 		}
-		diags := analyzePackage(pkg, analyzers, shared, loadPkg, errf, timing)
+		diags := analyzePackage(pkg, analyzers, shared, loadPkg, errf)
 		res.Diagnostics += len(diags)
 		for _, diag := range diags {
 			pos := pkg.Fset.Position(diag.Pos)
@@ -198,42 +145,13 @@ func RunWithOptions(dir string, patterns []string, analyzers []*analysis.Analyze
 			if rel, err := filepath.Rel(loader.ModuleDir, file); err == nil {
 				file = rel
 			}
-			if structured {
-				report.Diagnostics = append(report.Diagnostics, jsonDiagnostic{
-					File:     filepath.ToSlash(file),
-					Line:     pos.Line,
-					Col:      pos.Column,
-					Analyzer: diag.Analyzer,
-					Message:  diag.Message,
-					Trace:    diag.Trace,
-				})
-			} else {
-				fmt.Fprintf(w, "%s:%d:%d: %s (%s)\n", file, pos.Line, pos.Column, diag.Message, diag.Analyzer)
-			}
-		}
-	}
-
-	if opts.Timing != nil {
-		writeTiming(opts.Timing, analyzers, timing)
-	}
-
-	switch {
-	case opts.SARIF:
-		if err := writeSARIF(w, analyzers, report); err != nil {
-			return res, err
-		}
-	case opts.JSON:
-		report.Packages = res.Packages
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			return res, err
+			fmt.Fprintf(w, "%s:%d:%d: %s (%s)\n", file, pos.Line, pos.Column, diag.Message, diag.Analyzer)
 		}
 	}
 	return res, nil
 }
 
-func analyzePackage(pkg *load.Package, analyzers []*analysis.Analyzer, shared *analysis.Shared, loadPkg func(string) (*analysis.PackageInfo, error), errf func(string, ...any), timing map[string]time.Duration) []analysis.Diagnostic {
+func analyzePackage(pkg *load.Package, analyzers []*analysis.Analyzer, shared *analysis.Shared, loadPkg func(string) (*analysis.PackageInfo, error), errf func(string, ...any)) []analysis.Diagnostic {
 	var diags []analysis.Diagnostic
 	for _, a := range analyzers {
 		if !a.InScope(pkg.Path) {
@@ -244,10 +162,7 @@ func analyzePackage(pkg *load.Package, analyzers []*analysis.Analyzer, shared *a
 		})
 		pass.Shared = shared
 		pass.LoadPackage = loadPkg
-		start := time.Now()
-		err := a.Run(pass)
-		timing[a.Name] += time.Since(start)
-		if err != nil {
+		if err := a.Run(pass); err != nil {
 			errf("%s: analyzer %s failed: %v", pkg.Path, a.Name, err)
 			continue
 		}
@@ -255,20 +170,4 @@ func analyzePackage(pkg *load.Package, analyzers []*analysis.Analyzer, shared *a
 	}
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	return diags
-}
-
-// writeTiming prints one line per analyzer with its cumulative wall time,
-// slowest first. Interprocedural analyzers front-load shared work (package
-// loads, call graphs) into whichever of them runs first, so read the table
-// as a budget check, not a per-analyzer microbenchmark.
-func writeTiming(w io.Writer, analyzers []*analysis.Analyzer, timing map[string]time.Duration) {
-	names := make([]string, 0, len(analyzers))
-	for _, a := range analyzers {
-		names = append(names, a.Name)
-	}
-	sort.SliceStable(names, func(i, j int) bool { return timing[names[i]] > timing[names[j]] })
-	fmt.Fprintf(w, "analyzer timing (cumulative across %d analyzers):\n", len(names))
-	for _, n := range names {
-		fmt.Fprintf(w, "  %-13s %s\n", n, timing[n].Round(time.Microsecond))
-	}
 }

@@ -28,9 +28,8 @@ import (
 )
 
 // NewResolver returns a Resolver for pass's package backed by the
-// run-wide summary store. Under a driver without source loading (the vet
-// unitchecker) it still summarises same-package helpers; cross-package
-// calls degrade to lock-neutral, the documented unitchecker caveat.
+// run-wide summary store. Without a LoadPackage hook it still summarises
+// same-package helpers; cross-package calls degrade to lock-neutral.
 func NewResolver(pass *analysis.Pass) Resolver {
 	st := summary.For(pass)
 	r := &resolver{

@@ -31,8 +31,7 @@
 // are separate functions — a closure mutating a variable its enclosing
 // function published is not connected to the publish site; defers are
 // checked against the state at function exit; callees without reachable
-// source (stdlib, other modules, and every cross-package callee under the
-// vet unitchecker) are assumed read-only.
+// source (stdlib, other modules) are assumed read-only.
 package pubfreeze
 
 import (
@@ -154,10 +153,9 @@ func (c *checker) checkFrozenTypes() {
 			if len(sum.slots) == 0 || !sum.slots[0].mutated {
 				continue
 			}
-			s := sum.slots[0]
-			c.pass.ReportTracef(fd.Name.Pos(), s.steps,
+			c.pass.Reportf(fd.Name.Pos(),
 				"method %s of //lint:frozen type %s mutates its receiver: %s — frozen values are immutable once published; return a modified copy instead",
-				fd.Name.Name, named.Obj().Name(), s.desc)
+				fd.Name.Name, named.Obj().Name(), sum.slots[0].desc)
 		}
 	}
 }
@@ -335,7 +333,7 @@ func (c *checker) checkMutations(st pubState, n ast.Node) {
 			for _, lhs := range m.Lhs {
 				if v, deref := chainRoot(info, lhs); deref && v != nil {
 					if rec, ok := st[v]; ok {
-						c.reportMut(lhs.Pos(), nil, v.Name(), rec,
+						c.reportMut(lhs.Pos(), v.Name(), rec,
 							"`"+shortExpr(types.ExprString(lhs))+" = …`")
 					}
 				}
@@ -343,7 +341,7 @@ func (c *checker) checkMutations(st pubState, n ast.Node) {
 		case *ast.IncDecStmt:
 			if v, deref := chainRoot(info, m.X); deref && v != nil {
 				if rec, ok := st[v]; ok {
-					c.reportMut(m.Pos(), nil, v.Name(), rec,
+					c.reportMut(m.Pos(), v.Name(), rec,
 						"`"+shortExpr(types.ExprString(m.X))+m.Tok.String()+"`")
 				}
 			}
@@ -364,7 +362,7 @@ func (c *checker) checkCallMutation(st pubState, call *ast.CallExpr) {
 		if len(call.Args) > 0 {
 			if v, _ := chainRoot(info, call.Args[0]); v != nil {
 				if rec, ok := st[v]; ok {
-					c.reportMut(call.Pos(), nil, v.Name(), rec,
+					c.reportMut(call.Pos(), v.Name(), rec,
 						"`"+builtinName(info, call)+"("+shortExpr(types.ExprString(call.Args[0]))+", …)` writes the published backing store")
 				}
 			}
@@ -418,16 +416,12 @@ func (c *checker) flagSlotMutation(st pubState, call *ast.CallExpr, fn *types.Fu
 	if !ok {
 		return
 	}
-	s := sum.slots[slot]
-	steps := make([]string, 0, len(s.steps)+1)
-	steps = append(steps, fn.Name()+" ("+summary.FormatPos(c.pass.Fset, call.Pos())+")")
-	steps = append(steps, s.steps...)
-	c.reportMut(call.Pos(), steps, v.Name(), rec, "call to "+fn.Name()+" reaches "+s.desc)
+	c.reportMut(call.Pos(), v.Name(), rec, "call to "+fn.Name()+" reaches "+sum.slots[slot].desc)
 }
 
 // reportMut emits the mutation diagnostic with the copy-on-write hint.
-func (c *checker) reportMut(pos token.Pos, steps []string, varName string, rec pubRec, how string) {
-	c.pass.ReportTracef(pos, steps,
+func (c *checker) reportMut(pos token.Pos, varName string, rec pubRec, how string) {
+	c.pass.Reportf(pos,
 		"%s mutates `%s` after it was published by %s at %s — published state is frozen; copy-on-write instead: build a fresh value, mutate the fresh one, then Store the fresh pointer",
 		how, varName, rec.what, summary.FormatPos(c.pass.Fset, rec.pos))
 }
@@ -436,11 +430,10 @@ func (c *checker) reportMut(pos token.Pos, steps []string, varName string, rec p
 
 // slotSum is the summary of one pointer-like slot (receiver first, then
 // parameters) of a function: whether any path mutates the object the slot
-// points at, with the construct and the call chain that reaches it.
+// points at, with the construct that does it.
 type slotSum struct {
 	mutated bool
-	desc    string   // construct + position
-	steps   []string // call chain below this function, outermost first
+	desc    string // construct + position
 }
 
 // mutSummary is the bottom-up mutates-param summary of one function.
@@ -505,14 +498,14 @@ func (c *checker) summarize(d summary.Fn, depth int) mutSummary {
 	reg(d.Decl.Type.Params, base)
 
 	killed := make(map[*types.Var]bool)
-	mark := func(slot int, pos token.Pos, desc string, steps []string) {
+	mark := func(slot int, pos token.Pos, desc string) {
 		if sum.slots[slot].mutated {
 			return
 		}
 		if sup.Allows(name, pi.Fset.Position(pos)) {
 			return
 		}
-		sum.slots[slot] = slotSum{mutated: true, desc: desc, steps: steps}
+		sum.slots[slot] = slotSum{mutated: true, desc: desc}
 	}
 	direct := func(e ast.Expr, pos token.Pos, desc string) {
 		v, deref := chainRoot(info, e)
@@ -520,7 +513,7 @@ func (c *checker) summarize(d summary.Fn, depth int) mutSummary {
 			return
 		}
 		if slot, ok := slotOf[v]; ok {
-			mark(slot, pos, desc+" at "+summary.FormatPos(pi.Fset, pos), nil)
+			mark(slot, pos, desc+" at "+summary.FormatPos(pi.Fset, pos))
 		}
 	}
 
@@ -553,7 +546,7 @@ func (c *checker) summarize(d summary.Fn, depth int) mutSummary {
 
 // summarizeCall folds one call inside d into the summary: operand-writing
 // builtins mutate directly, resolved callees propagate their own slots.
-func (c *checker) summarizeCall(d summary.Fn, call *ast.CallExpr, slotOf map[*types.Var]int, killed map[*types.Var]bool, sum *mutSummary, depth int, mark func(int, token.Pos, string, []string)) {
+func (c *checker) summarizeCall(d summary.Fn, call *ast.CallExpr, slotOf map[*types.Var]int, killed map[*types.Var]bool, sum *mutSummary, depth int, mark func(int, token.Pos, string)) {
 	pi := d.Pkg
 	info := pi.Info
 	switch builtinName(info, call) {
@@ -562,7 +555,7 @@ func (c *checker) summarizeCall(d summary.Fn, call *ast.CallExpr, slotOf map[*ty
 			if v, _ := chainRoot(info, call.Args[0]); v != nil && !killed[v] {
 				if slot, ok := slotOf[v]; ok {
 					mark(slot, call.Pos(),
-						"`"+builtinName(info, call)+"("+shortExpr(types.ExprString(call.Args[0]))+", …)` at "+summary.FormatPos(pi.Fset, call.Pos()), nil)
+						"`"+builtinName(info, call)+"("+shortExpr(types.ExprString(call.Args[0]))+", …)` at "+summary.FormatPos(pi.Fset, call.Pos()))
 				}
 			}
 		}
@@ -596,11 +589,7 @@ func (c *checker) summarizeCall(d summary.Fn, call *ast.CallExpr, slotOf map[*ty
 		if !ok {
 			return
 		}
-		s := sub.slots[calleeSlot]
-		steps := make([]string, 0, len(s.steps)+1)
-		steps = append(steps, fn.Name()+" ("+summary.FormatPos(pi.Fset, call.Pos())+")")
-		steps = append(steps, s.steps...)
-		mark(slot, call.Pos(), s.desc, steps)
+		mark(slot, call.Pos(), sub.slots[calleeSlot].desc)
 	}
 	argBase := 0
 	sig := fn.Type().(*types.Signature)

@@ -14,15 +14,14 @@
 // objects depending on which side of the import it was seen from.
 //
 // On top of Resolve the Store offers per-domain memo tables (an analyzer
-// keys its summaries by function), cached per-package call graphs, and
-// cached per-package suppression indexes (so a //lint:allow on a leaf
-// construct is honoured even when the diagnostic is reported at a hotpath
-// root in another package).
+// keys its summaries by function) and cached per-package suppression
+// indexes (so a //lint:allow on a leaf construct is honoured even when the
+// diagnostic is reported at a call site in another package).
 //
-// Drivers without source loading (the vet unitchecker) install no
-// LoadPackage hook; Resolve then only finds functions of packages already
-// registered — in practice the current one — and interprocedural analyzers
-// degrade to package-local reasoning, a documented soundness caveat.
+// A pass without a LoadPackage hook (a single-package test harness)
+// resolves only functions of packages already registered — in practice the
+// current one — and interprocedural analyzers degrade to package-local
+// reasoning.
 package summary
 
 import (
@@ -34,7 +33,6 @@ import (
 	"sync"
 
 	"setlearn/internal/lint/analysis"
-	"setlearn/internal/lint/callgraph"
 )
 
 const sharedKey = "summary.Store"
@@ -48,8 +46,8 @@ type Fn struct {
 	Pkg  *analysis.PackageInfo
 }
 
-// Store caches loaded packages, declaration indexes, call graphs,
-// suppression indexes, and analyzer summaries for one driver run.
+// Store caches loaded packages, declaration indexes, suppression indexes,
+// and analyzer summaries for one driver run.
 type Store struct {
 	mu   sync.Mutex
 	load func(path string) (*analysis.PackageInfo, error)
@@ -57,7 +55,6 @@ type Store struct {
 	pkgs     map[string]*analysis.PackageInfo // by import path
 	failed   map[string]error                 // load failures, cached
 	decls    map[string]Fn                    // by types.Func FullName
-	graphs   map[string]*callgraph.Graph      // by import path
 	suppress map[string]*analysis.Suppressions
 	memos    map[string]map[string]any // domain -> FullName -> summary
 }
@@ -70,7 +67,6 @@ func For(pass *analysis.Pass) *Store {
 			pkgs:     make(map[string]*analysis.PackageInfo),
 			failed:   make(map[string]error),
 			decls:    make(map[string]Fn),
-			graphs:   make(map[string]*callgraph.Graph),
 			suppress: make(map[string]*analysis.Suppressions),
 			memos:    make(map[string]map[string]any),
 		}
@@ -143,27 +139,6 @@ func (s *Store) Resolve(fn *types.Func) (Fn, bool) {
 	return d, ok
 }
 
-// Package returns the loaded package for path, if any (registered by a
-// pass or pulled in by Resolve).
-func (s *Store) Package(path string) (*analysis.PackageInfo, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pi, ok := s.pkgs[path]
-	return pi, ok
-}
-
-// Graph returns pi's call graph, building it on first request.
-func (s *Store) Graph(pi *analysis.PackageInfo) *callgraph.Graph {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g, ok := s.graphs[pi.Path]; ok {
-		return g
-	}
-	g := callgraph.Build(pi.Types, pi.Info, pi.Files)
-	s.graphs[pi.Path] = g
-	return g
-}
-
 // Suppressions returns pi's //lint:allow index, building it on first
 // request. Interprocedural analyzers consult it for constructs in packages
 // other than the reporting one.
@@ -212,7 +187,7 @@ func (m *Memo) Set(fn *types.Func, v any) {
 	m.m[fn.FullName()] = v
 }
 
-// FormatPos renders pos compactly for diagnostic traces: the file's last
+// FormatPos renders pos compactly for diagnostic messages: the file's last
 // two path elements plus the line, e.g. "nn/dense.go:126".
 func FormatPos(fset *token.FileSet, pos token.Pos) string {
 	p := fset.Position(pos)

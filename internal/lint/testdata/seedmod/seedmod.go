@@ -1,34 +1,20 @@
-// Package seedmod is the seeded regression for `make lint-interproc`: a
-// deliberately allocating //lint:hotpath function whose allocation hides
-// two calls deep. The CI target runs noalloc over this package and FAILS
-// THE BUILD if the analyzer does NOT reject it — proving the
-// interprocedural machinery (call graph, summaries, traces) still works
-// before trusting its silence on the real hot paths.
+// Package seedmod holds two deliberate violations: a loader that sizes an
+// allocation by a decoded length (trustlen) and a snapshot mutated through
+// a helper after it is published (pubfreeze). TestSeededRegressions runs
+// the whole suite over this package and fails unless both are reported,
+// proving the summary machinery still detects what it exists to detect
+// before its silence on the real tree is trusted.
 //
 // The package lives under testdata/ so the go toolchain and the lint
-// driver's recursive ./... expansion both skip it; only the explicit
-// pattern in the lint-interproc target reaches it.
+// driver's recursive ./... expansion both skip it; only an explicit
+// pattern reaches it.
 package seedmod
 
 import (
 	"encoding/binary"
 	"io"
+	"sync/atomic"
 )
-
-// HotQuery pretends to be a serving-path root: annotated, but reaching an
-// allocation through helperLen → newBuf. noalloc must report it with the
-// full two-step trace.
-//
-//lint:hotpath
-func HotQuery(n int) int {
-	return helperLen(n)
-}
-
-func helperLen(n int) int {
-	return len(newBuf(n))
-}
-
-func newBuf(n int) []byte { return make([]byte, n) }
 
 // LoadCounts pretends to be a loader: it decodes a count and sizes an
 // allocation with it, with no bounds check in sight. trustlen must
@@ -40,3 +26,19 @@ func LoadCounts(r io.Reader) ([]uint64, error) {
 	}
 	return make([]uint64, n), nil
 }
+
+type snapshot struct {
+	n int
+}
+
+var current atomic.Pointer[snapshot]
+
+// PublishThenScrub mutates a snapshot after publishing it: pubfreeze must
+// flag the helper call past the Store.
+func PublishThenScrub() {
+	next := &snapshot{n: 1}
+	current.Store(next)
+	scrubSnapshot(next)
+}
+
+func scrubSnapshot(s *snapshot) { s.n = 0 }

@@ -18,7 +18,7 @@
 // conversions, and range statements; len() and cap() results are
 // trusted (they measure real data).
 //
-// Interprocedurally (via the summary framework, like noalloc):
+// Interprocedurally (via the summary framework):
 //
 //   - a helper that passes a parameter field to a make size without
 //     checking it inherits the obligation — calling it with a tainted
@@ -35,8 +35,7 @@
 // Limitations (documented in DESIGN.md §10): function literals are not
 // analyzed; a comparison against another untrusted value satisfies the
 // check (the analyzer verifies presence, not sufficiency); taint through
-// maps, channels, and globals is not tracked; under the vet unitchecker
-// the analysis degrades to package-local call chains.
+// maps, channels, and globals is not tracked.
 package trustlen
 
 import (
@@ -221,7 +220,7 @@ func (c *checker) checkDecl(fd *ast.FuncDecl, fn *types.Func) {
 					desc, t.src)
 				return
 			}
-			c.pass.ReportTracef(pos, steps, "call passes untrusted %s to %s, reaching %s via %s without a bounds check — validate it first, or annotate with //lint:allow trustlen -- <why>",
+			c.pass.Reportf(pos, "call passes untrusted %s to %s, reaching %s via %s without a bounds check — validate it first, or annotate with //lint:allow trustlen -- <why>",
 				t.src, steps[0], desc, strings.Join(steps, " → "))
 		})
 	}

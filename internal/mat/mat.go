@@ -55,8 +55,6 @@ func (m *Matrix) Zero() {
 
 // MatVec computes dst = m * x. dst must have length m.Rows and x length
 // m.Cols. dst must not alias x.
-//
-//lint:hotpath
 func MatVec(dst []float64, m *Matrix, x []float64) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic(fmt.Sprintf("mat: MatVec dims %dx%d with x=%d dst=%d", m.Rows, m.Cols, len(x), len(dst)))
@@ -70,8 +68,6 @@ func MatVec(dst []float64, m *Matrix, x []float64) {
 // inference path uses to fold matvec results into pooled scratch without a
 // temporary. dst must have length m.Rows and x length m.Cols; dst must not
 // alias x.
-//
-//lint:hotpath
 func MatVecAcc(dst []float64, m *Matrix, x []float64) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic(fmt.Sprintf("mat: MatVecAcc dims %dx%d with x=%d dst=%d", m.Rows, m.Cols, len(x), len(dst)))
@@ -82,8 +78,6 @@ func MatVecAcc(dst []float64, m *Matrix, x []float64) {
 }
 
 // MatVecAdd computes dst = m*x + b.
-//
-//lint:hotpath
 func MatVecAdd(dst []float64, m *Matrix, x, b []float64) {
 	MatVec(dst, m, x)
 	if len(b) != len(dst) {
@@ -148,8 +142,6 @@ func Axpy(dst []float64, a float64, x []float64) {
 }
 
 // Dot returns the inner product of a and b.
-//
-//lint:hotpath
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("mat: Dot length mismatch")
@@ -178,8 +170,6 @@ func dotUnchecked(a, b []float64) float64 {
 }
 
 // Scale multiplies every element of x by a in place.
-//
-//lint:hotpath
 func Scale(x []float64, a float64) {
 	for i := range x {
 		x[i] *= a
@@ -188,8 +178,6 @@ func Scale(x []float64, a float64) {
 
 // AddTo computes dst += x — the pooled-sum inner loop of the φ fast path,
 // unrolled like Axpy and bit-identical to it with a = 1.
-//
-//lint:hotpath
 func AddTo(dst, x []float64) {
 	if len(dst) != len(x) {
 		panic("mat: AddTo length mismatch")
@@ -207,8 +195,6 @@ func AddTo(dst, x []float64) {
 }
 
 // Fill sets every element of x to v.
-//
-//lint:hotpath
 func Fill(x []float64, v float64) {
 	for i := range x {
 		x[i] = v

@@ -271,9 +271,7 @@ func TestEmptyShardAttach(t *testing.T) {
 	if empty < 0 {
 		t.Fatal("no empty shard in the fixture partition")
 	}
-	// A set of fresh elements that hash-routes to the empty shard. It has
-	// MaxSubset elements: the filter's negative sampler draws subsets of up
-	// to that size from the shard's element universe.
+	// A set of fresh elements that hash-routes to the empty shard.
 	var q sets.Set
 	for id := c.MaxID() + 1; q == nil; id++ {
 		if cand := sets.New(id, id+1, id+2); idx.route.owner(cand) == empty {
@@ -341,5 +339,43 @@ func TestEmptyShardAttach(t *testing.T) {
 		if !bytes.Equal(resave(t, pair[0]), resave(t, pair[1])) {
 			t.Fatalf("%s: shard %d retrained after load differs from the never-saved retrain", name, empty)
 		}
+	}
+}
+
+// TestEmptyShardRetrainSmallUniverse: an empty shard whose first insert is
+// one 2-element set retrains over fewer distinct elements than the filter's
+// MaxSubset of 3. The negative sampler used to spin there forever, with
+// RetrainShard holding retrainMu.
+func TestEmptyShardRetrainSmallUniverse(t *testing.T) {
+	c := dataset.GenerateSD(12, 20, 71)
+	flt, err := BuildShardedFilter(c, Options{Shards: 8, Partitioner: HashBySet}, mutFltOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := -1
+	for s, bs := range flt.BuildStats() {
+		if bs.Sets == 0 {
+			empty = s
+			break
+		}
+	}
+	if empty < 0 {
+		t.Fatal("no empty shard in the fixture partition")
+	}
+	var q sets.Set
+	for id := c.MaxID() + 1; q == nil; id++ {
+		if cand := sets.New(id, id+1); flt.route.owner(cand) == empty {
+			q = cand
+		}
+	}
+	flt.InsertSet(q)
+	if err := flt.RetrainShard(empty); err != nil {
+		t.Fatalf("RetrainShard(%d): %v", empty, err)
+	}
+	if ds := flt.DeltaStats(); ds.Pending != 0 || ds.Absorbed != 1 {
+		t.Fatalf("after retrain DeltaStats = %+v, want the insert absorbed", ds)
+	}
+	if !flt.Contains(q) {
+		t.Fatalf("Contains(%v) = false after retrain", q)
 	}
 }

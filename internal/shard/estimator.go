@@ -131,8 +131,6 @@ func (e *Estimator) estimateShard(st *state[*core.CardinalityEstimator], s int, 
 }
 
 // deltaCount sums the exact pending-delta counts for q across all shards.
-//
-//lint:hotpath
 func (e *Estimator) deltaCount(q sets.Set) float64 {
 	total := 0.0
 	for s := 0; s < e.k; s++ {

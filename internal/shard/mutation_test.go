@@ -479,6 +479,48 @@ func TestEstimatorOverrideFold(t *testing.T) {
 	}
 }
 
+// TestEstimatorDeltaCountAllocFree pins the override read path's delta
+// fan-in at zero allocations on a non-empty delta.
+func TestEstimatorDeltaCountAllocFree(t *testing.T) {
+	c := mutCollection()
+	est, err := BuildShardedEstimator(c, Options{Shards: 3, Partitioner: HashBySet}, mutEstOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := freshSets(c.MaxID(), 16, 2)
+	for _, s := range ins {
+		est.InsertSet(s)
+	}
+	q := ins[5]
+	if got := est.deltaCount(q); got != 1 {
+		t.Fatalf("deltaCount(%v) = %g, want 1", q, got)
+	}
+	if n := testing.AllocsPerRun(100, func() { est.deltaCount(q) }); n != 0 {
+		t.Errorf("deltaCount allocates %v per call", n)
+	}
+}
+
+// TestEstimatorSaveDeterministic: Save writes the exact overrides in key
+// order, so an estimator with many overrides and pending inserts saves the
+// same bytes every time, whatever order its override map iterates in.
+func TestEstimatorSaveDeterministic(t *testing.T) {
+	c := mutCollection()
+	est, err := BuildShardedEstimator(c, Options{Shards: 3, Partitioner: HashBySet}, mutEstOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range freshSets(c.MaxID(), 12, 2) {
+		est.InsertSet(s)
+		est.Update(s, float64(i+2))
+	}
+	first := resave(t, est.Save)
+	for i := 2; i <= 5; i++ {
+		if again := resave(t, est.Save); !bytes.Equal(first, again) {
+			t.Fatalf("save %d differs from the first (%d vs %d bytes)", i, len(again), len(first))
+		}
+	}
+}
+
 // TestTrainerBackground runs the background trainer against all three
 // containers and waits for it to absorb every insert on its own.
 func TestTrainerBackground(t *testing.T) {

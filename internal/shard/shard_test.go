@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -193,4 +194,40 @@ func mustPanic(t *testing.T, what string, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// TestBuildersRejectSubsetCapOutOfRange: a build rejects a subset cap its
+// own loader would reject, rather than saving a file that cannot be loaded
+// (or, for the filter, panicking in the negative sampler). A sharded build
+// fails through its per-shard core builds.
+func TestBuildersRejectSubsetCapOutOfRange(t *testing.T) {
+	c := mutCollection()
+	o := Options{Shards: 3, Partitioner: HashBySet}
+	for _, maxSubset := range []int{-1, 65} {
+		for _, b := range []struct {
+			name  string
+			build func() error
+		}{
+			{"core index", func() error {
+				_, err := core.BuildIndex(c, core.IndexOptions{Model: mutModel(), MaxSubset: maxSubset})
+				return err
+			}},
+			{"core estimator", func() error {
+				_, err := core.BuildEstimator(c, core.EstimatorOptions{Model: mutModel(), MaxSubset: maxSubset})
+				return err
+			}},
+			{"core filter", func() error {
+				_, err := core.BuildMembershipFilter(c, core.FilterOptions{Model: mutModel(), MaxSubset: maxSubset})
+				return err
+			}},
+			{"sharded estimator", func() error {
+				_, err := BuildShardedEstimator(c, o, core.EstimatorOptions{Model: mutModel(), MaxSubset: maxSubset})
+				return err
+			}},
+		} {
+			if err := b.build(); err == nil || !strings.Contains(err.Error(), "subset cap") {
+				t.Errorf("%s with MaxSubset %d: err = %v, want a subset cap error", b.name, maxSubset, err)
+			}
+		}
+	}
 }
