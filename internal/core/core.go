@@ -75,11 +75,15 @@ func (o ModelOptions) trainConfig() train.Config {
 	}
 }
 
-// validateBuild rejects collections the structures cannot be built on and
-// subset caps their own loader would reject.
-func validateBuild(c *sets.Collection, maxSubset int) error {
+// validateBuild rejects collections the structures cannot be built on,
+// subset caps their own loader would reject and training options the
+// trainer would reject.
+func validateBuild(c *sets.Collection, maxSubset int, mo ModelOptions) error {
 	if maxSubset < 0 || maxSubset > maxSubsetBound {
 		return fmt.Errorf("core: subset cap %d out of range [0, %d]", maxSubset, maxSubsetBound)
+	}
+	if err := mo.trainConfig().Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if c == nil || c.Len() == 0 {
 		return fmt.Errorf("core: empty collection")

@@ -34,7 +34,7 @@ type CardinalityEstimator struct {
 
 // BuildEstimator trains a learned cardinality estimator over c.
 func BuildEstimator(c *sets.Collection, opts EstimatorOptions) (*CardinalityEstimator, error) {
-	if err := validateBuild(c, opts.MaxSubset); err != nil {
+	if err := validateBuild(c, opts.MaxSubset, opts.Model); err != nil {
 		return nil, err
 	}
 	if opts.MaxSubset == 0 {

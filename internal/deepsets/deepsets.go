@@ -20,7 +20,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"setlearn/internal/ad"
 	"setlearn/internal/compress"
 	"setlearn/internal/mat"
 	"setlearn/internal/nn"
@@ -190,60 +189,6 @@ func (m *Model) EmbeddingSizeBytes() int {
 		ps = append(ps, e.Params()...)
 	}
 	return nn.SizeBytes(ps)
-}
-
-// elementNode records the per-element pipeline (embedding, optional
-// compression and concat, φ) on the tape.
-func (m *Model) elementNode(t *ad.Tape, id uint32, buf []uint32) *ad.Node {
-	if id > m.cfg.MaxID {
-		panic(fmt.Sprintf("deepsets: element id %d exceeds MaxID %d", id, m.cfg.MaxID))
-	}
-	var in *ad.Node
-	if m.cfg.Compressed {
-		parts := compress.Compress(buf[:0], id, m.cfg.SVD, m.cfg.NS)
-		subs := make([]*ad.Node, len(parts))
-		for i, p := range parts {
-			subs[i] = m.embeds[i].Apply(t, int(p))
-		}
-		in = t.Concat(subs...)
-	} else {
-		in = m.embeds[0].Apply(t, int(id))
-	}
-	return m.phi.Apply(t, in)
-}
-
-// Apply records the full model on the tape and returns the output node
-// (after the output activation). The empty set is rejected: the paper's
-// queries are non-empty subsets.
-func (m *Model) Apply(t *ad.Tape, s sets.Set) *ad.Node {
-	return m.applyWith(t, s, m.rho.Apply)
-}
-
-// ApplyLogit is Apply without the final activation, exposing the logit for
-// numerically stable binary cross-entropy.
-func (m *Model) ApplyLogit(t *ad.Tape, s sets.Set) *ad.Node {
-	return m.applyWith(t, s, m.rho.ApplyLogit)
-}
-
-func (m *Model) applyWith(t *ad.Tape, s sets.Set, rho func(*ad.Tape, *ad.Node) *ad.Node) *ad.Node {
-	if len(s) == 0 {
-		panic("deepsets: empty set")
-	}
-	var buf [8]uint32
-	parts := make([]*ad.Node, len(s))
-	for i, id := range s {
-		parts[i] = m.elementNode(t, id, buf[:0])
-	}
-	var pooled *ad.Node
-	switch m.cfg.Pool {
-	case MeanPool:
-		pooled = t.MeanPool(parts)
-	case MaxPool:
-		pooled = t.MaxPool(parts)
-	default:
-		pooled = t.SumPool(parts)
-	}
-	return rho(t, pooled)
 }
 
 // Predictor holds preallocated scratch for tape-free single-query

@@ -280,18 +280,41 @@ func BenchmarkPredictCLSM(b *testing.B) {
 	}
 }
 
-func BenchmarkTrainStepCLSM(b *testing.B) {
-	m, _ := New(Config{MaxID: 99999, EmbedDim: 8, PhiHidden: []int{32}, PhiOut: 32,
+// benchTrainModel is a CLSM model at the widths the benchmark harness
+// serves (embedding 8, φ and ρ 32).
+func benchTrainModel(b *testing.B) *Model {
+	m, err := New(Config{MaxID: 99999, EmbedDim: 8, PhiHidden: []int{32}, PhiOut: 32,
 		RhoHidden: []int{32}, Compressed: true, OutputAct: nn.Sigmoid, Seed: 1})
-	opt := nn.NewAdam(0.001)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
+// BenchmarkTrainStepCLSM times one fused train step: forward, loss and
+// backward into the gradient buffers. The optimizer runs once per batch in
+// training, not per step, so it is left out.
+func BenchmarkTrainStepCLSM(b *testing.B) {
+	m := benchTrainModel(b)
+	st := m.NewStepper(nil)
 	s := sets.New(5, 999, 42000, 77777)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tp := ad.NewTape()
-		out := m.Apply(tp, s)
-		_, g := nn.MSELoss(out.Value[0], 0.5)
-		tp.Backward(out, []float64{g})
-		opt.Step(m.Params())
+		st.Step(s, 0.5, LossMSE)
+	}
+}
+
+// BenchmarkTrainStepCLSMTape is BenchmarkTrainStepCLSM on the tape oracle,
+// for comparison.
+func BenchmarkTrainStepCLSMTape(b *testing.B) {
+	m := benchTrainModel(b)
+	tp := ad.NewTape()
+	s := sets.New(5, 999, 42000, 77777)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tapeStep(m, tp, s, 0.5, LossMSE)
 	}
 }
 

@@ -199,19 +199,18 @@ func Run(cfg Config) ([]Result, SizeReport, error) {
 	// Train: one Adam per model, same shuffled stream.
 	type trainee struct {
 		name   ModelName
-		step   func(tp *ad.Tape, d digitSum)
+		step   func(d digitSum)
 		opt    *nn.Adam
 		params []*nn.Param
 	}
-	dsStep := func(m *deepsets.Model) func(tp *ad.Tape, d digitSum) {
-		return func(tp *ad.Tape, d digitSum) {
-			out := m.Apply(tp, sets.Set(d.digits))
-			_, g := nn.MSELoss(out.Value[0], d.sum/norm)
-			tp.Backward(out, []float64{g})
-		}
+	dsStep := func(m *deepsets.Model) func(d digitSum) {
+		st := m.NewStepper(nil)
+		return func(d digitSum) { st.Step(sets.Set(d.digits), d.sum/norm, deepsets.LossMSE) }
 	}
-	seqStep := func(s *seqModel) func(tp *ad.Tape, d digitSum) {
-		return func(tp *ad.Tape, d digitSum) {
+	tp := ad.NewTape()
+	seqStep := func(s *seqModel) func(d digitSum) {
+		return func(d digitSum) {
+			tp.Reset()
 			out := s.apply(tp, d.digits)
 			_, g := nn.MSELoss(out.Value[0], d.sum/norm)
 			tp.Backward(out, []float64{g})
@@ -223,14 +222,12 @@ func Run(cfg Config) ([]Result, SizeReport, error) {
 		{LSTM, seqStep(lstm), nn.NewAdam(cfg.LR), lstm.params()},
 		{GRU, seqStep(gru), nn.NewAdam(cfg.LR), gru.params()},
 	}
-	tp := ad.NewTape()
 	order := rng.Perm(len(trainData))
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, i := range order {
 			for _, tr := range trainees {
-				tp.Reset()
-				tr.step(tp, trainData[i])
+				tr.step(trainData[i])
 				tr.opt.Step(tr.params)
 			}
 		}

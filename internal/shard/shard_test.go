@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -194,6 +195,54 @@ func mustPanic(t *testing.T, what string, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// TestBuildersRejectInvalidTrainingOptions: a build rejects training
+// options the trainer cannot use — instead of panicking (BatchSize -1, on
+// a worker goroutine in a sharded build), returning an untrained model
+// (Epochs -1) or training by gradient ascent (LR -0.5). A sharded build
+// fails through its per-shard core builds.
+func TestBuildersRejectInvalidTrainingOptions(t *testing.T) {
+	c := mutCollection()
+	o := Options{Shards: 3, Partitioner: HashBySet}
+	for _, bad := range []struct {
+		name  string
+		apply func(*core.ModelOptions)
+	}{
+		{"BatchSize -1", func(mo *core.ModelOptions) { mo.BatchSize = -1 }},
+		{"Epochs -1", func(mo *core.ModelOptions) { mo.Epochs = -1 }},
+		{"LR -0.5", func(mo *core.ModelOptions) { mo.LR = -0.5 }},
+		{"LR NaN", func(mo *core.ModelOptions) { mo.LR = math.NaN() }},
+		{"Workers -1", func(mo *core.ModelOptions) { mo.Workers = -1 }},
+	} {
+		mo := mutModel()
+		bad.apply(&mo)
+		for _, b := range []struct {
+			name  string
+			build func() error
+		}{
+			{"core index", func() error {
+				_, err := core.BuildIndex(c, core.IndexOptions{Model: mo, MaxSubset: 2})
+				return err
+			}},
+			{"core estimator", func() error {
+				_, err := core.BuildEstimator(c, core.EstimatorOptions{Model: mo, MaxSubset: 2})
+				return err
+			}},
+			{"core filter", func() error {
+				_, err := core.BuildMembershipFilter(c, core.FilterOptions{Model: mo, MaxSubset: 2})
+				return err
+			}},
+			{"sharded estimator", func() error {
+				_, err := BuildShardedEstimator(c, o, core.EstimatorOptions{Model: mo, MaxSubset: 2})
+				return err
+			}},
+		} {
+			if err := b.build(); err == nil || !strings.Contains(err.Error(), "train:") {
+				t.Errorf("%s with %s: err = %v, want a training-options error", b.name, bad.name, err)
+			}
+		}
+	}
 }
 
 // TestBuildersRejectSubsetCapOutOfRange: a build rejects a subset cap its

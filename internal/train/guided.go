@@ -45,6 +45,9 @@ func (c *GuidedConfig) applyDefaults() {
 // returned outliers must be stored in the hybrid structure's auxiliary
 // index; the model answers only for kept samples.
 func Guided(m *deepsets.Model, samples []dataset.Sample, sc Scaler, cfg GuidedConfig) (*GuidedResult, error) {
+	if err := cfg.Train.Validate(); err != nil {
+		return nil, err
+	}
 	cfg.applyDefaults()
 	if cfg.Percentile < 0 || cfg.Percentile > 100 {
 		return nil, fmt.Errorf("train: percentile %v out of [0,100]", cfg.Percentile)
@@ -223,6 +226,9 @@ func (c *AutoGuidedConfig) applyDefaults() {
 // case the result is a model with the prespecified error; in the worst
 // case the structure approaches the paper's auxiliary-only fallback.
 func AutoGuided(m *deepsets.Model, samples []dataset.Sample, sc Scaler, cfg AutoGuidedConfig) (*GuidedResult, error) {
+	if err := cfg.Train.Validate(); err != nil {
+		return nil, err
+	}
 	cfg.applyDefaults()
 	if cfg.TargetQError < 1 {
 		return nil, fmt.Errorf("train: target q-error %v below 1", cfg.TargetQError)

@@ -1,16 +1,15 @@
 package train
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 
-	"setlearn/internal/ad"
 	"setlearn/internal/dataset"
 	"setlearn/internal/deepsets"
+	"setlearn/internal/mat"
 	"setlearn/internal/nn"
 	"setlearn/internal/sets"
 )
@@ -33,7 +32,7 @@ type Config struct {
 	Loss      LossKind
 	BatchSize int     // samples per optimizer step (default 32)
 	ClipNorm  float64 // global gradient-norm clip; 0 disables
-	Workers   int     // parallel gradient replicas (default GOMAXPROCS, ≤ batch)
+	Workers   int     // parallel gradient workers (default GOMAXPROCS, ≤ batch)
 	Seed      int64   // shuffling seed
 	// Patience stops training early when the mean epoch loss has not
 	// improved (by at least 0.1%) for this many consecutive epochs;
@@ -61,10 +60,30 @@ func (c *Config) applyDefaults() {
 	}
 }
 
+// Validate reports a Config that cannot train: a negative Epochs,
+// BatchSize or Workers, or a learning rate that is negative or not finite.
+// Zero means the default.
+func (c Config) Validate() error {
+	switch {
+	case c.Epochs < 0:
+		return fmt.Errorf("train: Epochs %d is negative", c.Epochs)
+	case c.BatchSize < 0:
+		return fmt.Errorf("train: BatchSize %d is negative", c.BatchSize)
+	case c.Workers < 0:
+		return fmt.Errorf("train: Workers %d is negative", c.Workers)
+	case c.LR < 0 || math.IsNaN(c.LR) || math.IsInf(c.LR, 0):
+		return fmt.Errorf("train: learning rate %v is not a positive finite number", c.LR)
+	}
+	return nil
+}
+
 // Regression trains m on samples with targets transformed by sc, minimizing
 // the configured loss in scaled space. It returns the final epoch's mean
 // loss.
 func Regression(m *deepsets.Model, samples []dataset.Sample, sc Scaler, cfg Config) (float64, error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, err
+	}
 	cfg.applyDefaults()
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("train: no samples")
@@ -73,64 +92,67 @@ func Regression(m *deepsets.Model, samples []dataset.Sample, sc Scaler, cfg Conf
 	for i, s := range samples {
 		scaled[i] = sc.Scale(s.Target)
 	}
-	lossFn := nn.MAELoss
+	loss := deepsets.LossMAE
 	if cfg.Loss == LossMSE {
-		lossFn = nn.MSELoss
+		loss = deepsets.LossMSE
 	}
-	step := func(rep *deepsets.Model, tp *ad.Tape, i int) float64 {
-		tp.Reset()
-		out := rep.Apply(tp, samples[i].Set)
-		loss, g := lossFn(out.Value[0], scaled[i])
-		tp.Backward(out, []float64{g})
-		return loss
-	}
-	return run(m, len(samples), cfg, step)
+	sample := func(i int) (sets.Set, float64) { return samples[i].Set, scaled[i] }
+	return run(m, len(samples), cfg, sample, loss), nil
 }
 
 // Classification trains m as a learned Bloom filter (§4.3) on positive and
 // negative membership samples with binary cross-entropy, returning the final
 // epoch's mean loss.
 func Classification(m *deepsets.Model, md *dataset.MembershipData, cfg Config) (float64, error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, err
+	}
 	cfg.applyDefaults()
 	n := len(md.Positive) + len(md.Negative)
 	if n == 0 {
 		return 0, fmt.Errorf("train: no samples")
 	}
-	step := func(rep *deepsets.Model, tp *ad.Tape, i int) float64 {
-		tp.Reset()
-		set, target := sets.Set(nil), 1.0
+	sample := func(i int) (sets.Set, float64) {
 		if i < len(md.Positive) {
-			set = md.Positive[i]
-		} else {
-			set, target = md.Negative[i-len(md.Positive)], 0
+			return md.Positive[i], 1
 		}
-		logit := rep.ApplyLogit(tp, set)
-		loss, g := nn.BCEWithLogits(logit.Value[0], target)
-		tp.Backward(logit, []float64{g})
-		return loss
+		return md.Negative[i-len(md.Positive)], 0
 	}
-	return run(m, n, cfg, step)
+	return run(m, n, cfg, sample, deepsets.LossBCE), nil
 }
 
-// run drives the epoch/batch loop. Each worker owns a full model replica
-// (weights synced from the primary before every batch) and accumulates
-// gradients locally; the primary sums replica gradients, applies one
-// optimizer step, and the cycle repeats. This keeps the tape machinery
-// single-threaded per replica while scaling across cores.
-func run(m *deepsets.Model, n int, cfg Config, step func(rep *deepsets.Model, tp *ad.Tape, i int) float64) (float64, error) {
+// worker is one gradient worker of a training run: a train stepper over
+// the model and the loss it summed over its share of the current batch.
+// Worker 0 accumulates into the model's own gradients; every other worker
+// into private buffers (grads) that the merge adds to the model's and
+// clears.
+type worker struct {
+	st    *deepsets.Stepper
+	grads []*mat.Matrix
+	loss  float64
+}
+
+// run drives the epoch/batch loop. Each batch is split across the workers,
+// which read the model's weights and accumulate gradients concurrently;
+// the private gradients are then merged into the model's in worker order
+// and one optimizer step applies them.
+func run(m *deepsets.Model, n int, cfg Config, sample func(i int) (sets.Set, float64), loss deepsets.Loss) float64 {
 	opt := nn.NewAdam(cfg.LR)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := rng.Perm(n)
-
-	reps, err := replicas(m, cfg.Workers)
-	if err != nil {
-		return 0, err
-	}
-	tapes := make([]*ad.Tape, len(reps))
-	for i := range tapes {
-		tapes[i] = ad.NewTape()
-	}
 	params := m.Params()
+
+	workers := make([]*worker, cfg.Workers)
+	for w := range workers {
+		wk := &worker{}
+		if w > 0 {
+			for _, p := range params {
+				wk.grads = append(wk.grads, mat.New(p.Grad.Rows, p.Grad.Cols))
+			}
+		}
+		wk.st = m.NewStepper(wk.grads)
+		workers[w] = wk
+	}
 
 	var lastMean float64
 	best := math.Inf(1)
@@ -143,8 +165,7 @@ func run(m *deepsets.Model, n int, cfg Config, step func(rep *deepsets.Model, tp
 			if end > n {
 				end = n
 			}
-			batch := order[start:end]
-			epochLoss += runBatch(m, reps, tapes, params, batch, step)
+			epochLoss += runBatch(workers, params, order[start:end], sample, loss)
 			if cfg.ClipNorm > 0 {
 				nn.ClipGradNorm(params, cfg.ClipNorm)
 			}
@@ -166,83 +187,51 @@ func run(m *deepsets.Model, n int, cfg Config, step func(rep *deepsets.Model, tp
 			}
 		}
 	}
-	return lastMean, nil
+	return lastMean
 }
 
-// runBatch distributes batch indices across replicas, gathers their
-// gradients into the primary's parameters, and returns the summed loss.
-func runBatch(m *deepsets.Model, reps []*deepsets.Model, tapes []*ad.Tape, params []*nn.Param, batch []int, step func(rep *deepsets.Model, tp *ad.Tape, i int) float64) float64 {
-	if len(reps) == 1 {
+// runBatch splits batch into one contiguous shard per worker, steps the
+// shards concurrently, merges the private gradients into params and
+// returns the summed loss.
+func runBatch(workers []*worker, params []*nn.Param, batch []int, sample func(i int) (sets.Set, float64), loss deepsets.Loss) float64 {
+	if len(workers) == 1 {
 		var total float64
 		for _, i := range batch {
-			total += step(m, tapes[0], i)
+			s, y := sample(i)
+			total += workers[0].st.Step(s, y, loss)
 		}
 		return total
 	}
 
-	// Sync replica weights with the primary.
-	for _, rep := range reps[1:] {
-		repParams := rep.Params()
-		for pi, p := range params {
-			copy(repParams[pi].Value.Data, p.Value.Data)
-			repParams[pi].ZeroGrad()
-		}
-	}
-
-	losses := make([]float64, len(reps))
 	var wg sync.WaitGroup
-	for w := range reps {
-		shard := batch[w*len(batch)/len(reps) : (w+1)*len(batch)/len(reps)]
+	for w, wk := range workers {
+		wk.loss = 0
+		shard := batch[w*len(batch)/len(workers) : (w+1)*len(batch)/len(workers)]
 		if len(shard) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(w int, shard []int) {
+		go func() {
 			defer wg.Done()
 			var total float64
 			for _, i := range shard {
-				total += step(reps[w], tapes[w], i)
+				s, y := sample(i)
+				total += wk.st.Step(s, y, loss)
 			}
-			losses[w] = total
-		}(w, shard)
+			wk.loss = total
+		}()
 	}
 	wg.Wait()
 
-	// Merge replica gradients into the primary (reps[0] IS the primary, its
-	// grads are already in place).
-	for _, rep := range reps[1:] {
-		repParams := rep.Params()
-		for pi, p := range params {
-			dst := p.Grad.Data
-			src := repParams[pi].Grad.Data
-			for j := range dst {
-				dst[j] += src[j]
-			}
-		}
-	}
 	var total float64
-	for _, l := range losses {
-		total += l
+	for _, wk := range workers {
+		for pi, g := range wk.grads {
+			mat.AddTo(params[pi].Grad.Data, g.Data)
+			g.Zero()
+		}
+		total += wk.loss
 	}
 	return total
-}
-
-// replicas returns [m, clone1, …]: worker copies that share m's
-// architecture but own their parameter storage.
-func replicas(m *deepsets.Model, workers int) ([]*deepsets.Model, error) {
-	reps := []*deepsets.Model{m}
-	for len(reps) < workers {
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			return nil, fmt.Errorf("train: clone model: %w", err)
-		}
-		rep, err := deepsets.Load(&buf)
-		if err != nil {
-			return nil, fmt.Errorf("train: clone model: %w", err)
-		}
-		reps = append(reps, rep)
-	}
-	return reps, nil
 }
 
 func shuffle(rng *rand.Rand, order []int) {

@@ -124,7 +124,7 @@ func TestRegressionLearnsCardinalities(t *testing.T) {
 }
 
 func TestRegressionParallelMatchesSequentialQuality(t *testing.T) {
-	// Parallel replicas shard batches differently but must reach comparable
+	// Parallel workers shard batches differently but must reach comparable
 	// quality — this guards the gradient-merge path.
 	c, st := smallCollection()
 	samples := st.CardinalitySamples()
@@ -430,4 +430,94 @@ func TestAutoGuidedStopsEarlyWhenEasy(t *testing.T) {
 	if frac := float64(len(res.Outliers)) / 200; frac > 0.15 {
 		t.Fatalf("easy distribution evicted %v of the data", frac)
 	}
+}
+
+// TestInvalidConfigRejected: every training entry point rejects a negative
+// Epochs, BatchSize or Workers and a negative or non-finite learning rate
+// before touching the model; zero still means the default.
+func TestInvalidConfigRejected(t *testing.T) {
+	c, st := smallCollection()
+	samples := st.CardinalitySamples()[:40]
+	sc := FitScaler(samples)
+	md := &dataset.MembershipData{Positive: []sets.Set{sets.New(1, 2)}, Negative: []sets.Set{sets.New(3, 4)}}
+	for _, cfg := range []Config{
+		{BatchSize: -1},
+		{Epochs: -1},
+		{Workers: -1},
+		{LR: -0.5},
+		{LR: math.NaN()},
+		{LR: math.Inf(1)},
+	} {
+		m := newModel(t, c.MaxID(), false)
+		before := weightDigest(m)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%+v: Validate accepted it", cfg)
+		}
+		if _, err := Regression(m, samples, sc, cfg); err == nil {
+			t.Errorf("%+v: Regression accepted it", cfg)
+		}
+		if _, err := Classification(m, md, cfg); err == nil {
+			t.Errorf("%+v: Classification accepted it", cfg)
+		}
+		if _, err := Guided(m, samples, sc, GuidedConfig{Train: cfg, Percentile: 90}); err == nil {
+			t.Errorf("%+v: Guided accepted it", cfg)
+		}
+		if _, err := AutoGuided(m, samples, sc, AutoGuidedConfig{Train: cfg}); err == nil {
+			t.Errorf("%+v: AutoGuided accepted it", cfg)
+		}
+		if weightDigest(m) != before {
+			t.Errorf("%+v: a rejected config changed the weights", cfg)
+		}
+	}
+	if err := (Config{}).Validate(); err != nil {
+		t.Errorf("zero Config rejected: %v", err)
+	}
+}
+
+// TestWideModelTrainsWithWorkers: the workers share the model's weights
+// rather than cloning it through the hardened loader, whose width limit
+// (2^14) a model New accepts can exceed.
+func TestWideModelTrainsWithWorkers(t *testing.T) {
+	m, err := deepsets.New(deepsets.Config{
+		MaxID: 20, EmbedDim: 2, PhiHidden: []int{4}, PhiOut: 16385,
+		RhoHidden: []int{4}, OutputAct: nn.Sigmoid, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := make([]dataset.Sample, 8)
+	for i := range samples {
+		samples[i] = dataset.Sample{Set: sets.New(uint32(i), uint32(i+5)), Target: float64(i)}
+	}
+	loss, err := Regression(m, samples, FitScaler(samples), Config{Epochs: 1, BatchSize: 4, Workers: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(loss) || math.IsInf(loss, 0) {
+		t.Fatalf("loss %v", loss)
+	}
+}
+
+// BenchmarkTrainEpoch times one cardinality-training epoch at the model
+// configuration the benchmark harness builds: CLSM with embedding 8, φ and
+// ρ 32 wide, 2 workers, over the subsets (≤3) of 1,000 RW sets.
+func BenchmarkTrainEpoch(b *testing.B) {
+	c := dataset.GenerateRW(1000, 1500, 42)
+	samples := dataset.CollectSubsets(c, 3).CardinalitySamples()
+	sc := FitScaler(samples)
+	m, err := deepsets.New(deepsets.Config{
+		MaxID: c.MaxID(), EmbedDim: 8, PhiHidden: []int{32}, PhiOut: 32,
+		RhoHidden: []int{32}, Compressed: true, OutputAct: nn.Sigmoid, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Regression(m, samples, sc, Config{Epochs: 1, Workers: 2, Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(samples)), "samples/epoch")
 }
