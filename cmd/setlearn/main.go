@@ -15,9 +15,9 @@
 //	setlearn -task card -data rw.txt -load est.bin -query "3,17"
 //
 // With -shards K (K > 1) the structure is built as a partitioned container
-// (internal/shard): the collection is split by -partitioner (hash, range,
-// freq, or cluster), one down-scaled model is trained per shard, and queries
-// fan out with exact merge semantics. Sharded saves use their own container
+// (internal/shard): the collection is split by -partitioner (hash, freq,
+// or cluster), one down-scaled model is trained per shard, and queries fan
+// out with exact merge semantics. Sharded saves use their own container
 // format; -load detects it by magic bytes, so the same flag reopens either
 // kind:
 //
@@ -60,7 +60,7 @@ func main() {
 	savePath := flag.String("save", "", "persist the trained structure to this file")
 	loadPath := flag.String("load", "", "load a previously saved structure instead of training")
 	shards := flag.Int("shards", 0, "build a sharded container with this many shards (0/1 = monolithic)")
-	partFlag := flag.String("partitioner", "hash", "shard partitioner: hash, range, freq, or cluster")
+	partFlag := flag.String("partitioner", "hash", "shard partitioner: hash, freq, or cluster")
 	flag.Parse()
 
 	part, err := shard.ParsePartitioner(*partFlag)

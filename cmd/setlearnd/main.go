@@ -58,7 +58,7 @@ func main() {
 	phiTable := flag.Bool("phi-table", true, "precompute the full φ-table when it fits the φ memory budget")
 	phiCacheMB := flag.Int("phi-cache-mb", 64, "φ memory budget in MiB per structure: φ-table if it fits, sharded φ-cache otherwise; 0 disables the fast path")
 	shards := flag.Int("shards", 0, "required shard count for loaded sharded containers; 0 accepts any")
-	partFlag := flag.String("partitioner", "", "required partitioner (hash|range|freq|cluster) for loaded sharded containers; empty accepts any")
+	partFlag := flag.String("partitioner", "", "required partitioner (hash|freq|cluster) for loaded sharded containers; empty accepts any")
 	retrainEvery := flag.Duration("retrain-interval", 0, "background retrain sweep interval for sharded containers; 0 disables")
 	deltaThreshold := flag.Int("delta-threshold", 64, "pending inserts a shard must accumulate before a sweep rebuilds it")
 	flag.Parse()

@@ -39,9 +39,6 @@ func NewTape() *Tape { return &Tape{} }
 // Reset drops all recorded nodes so the tape can be reused.
 func (t *Tape) Reset() { t.nodes = t.nodes[:0] }
 
-// NumNodes reports how many nodes the tape currently holds.
-func (t *Tape) NumNodes() int { return len(t.nodes) }
-
 func (t *Tape) newNode(n int) *Node {
 	nd := &Node{Value: make([]float64, n), Grad: make([]float64, n)}
 	t.nodes = append(t.nodes, nd)
@@ -115,20 +112,6 @@ func (t *Tape) Add(a, b *Node) *Node {
 	out.back = func() {
 		mat.AddTo(a.Grad, out.Grad)
 		mat.AddTo(b.Grad, out.Grad)
-	}
-	return out
-}
-
-// Sub records y = a - b (elementwise).
-func (t *Tape) Sub(a, b *Node) *Node {
-	checkSameLen("Sub", a, b)
-	out := t.newNode(a.Len())
-	for i := range out.Value {
-		out.Value[i] = a.Value[i] - b.Value[i]
-	}
-	out.back = func() {
-		mat.AddTo(a.Grad, out.Grad)
-		mat.Axpy(b.Grad, -1, out.Grad)
 	}
 	return out
 }

@@ -102,15 +102,6 @@ func (f *Filter) Count() uint64 { return f.n }
 // SizeBytes returns the memory footprint of the bit array.
 func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
 
-// EstimatedFPRate returns the expected false positive rate given the number
-// of added keys: (1 − e^{−kn/m})^k.
-func (f *Filter) EstimatedFPRate() float64 {
-	if f.n == 0 {
-		return 0
-	}
-	return math.Pow(1-math.Exp(-float64(f.k)*float64(f.n)/float64(f.m)), float64(f.k))
-}
-
 // OptimalSizeBytes returns the bit-array size in bytes of an optimally sized
 // filter for n keys at false positive rate p — the analytic curve of the
 // paper's Figure 3.

@@ -16,10 +16,9 @@ const DefaultOrder = 100
 
 // Tree is a B+ tree multimap from uint64 keys to uint32 values.
 type Tree struct {
-	root   node
-	order  int // max children of an internal node
-	size   int // number of (key,value) pairs
-	height int
+	root  node
+	order int // max children of an internal node
+	size  int // number of (key,value) pairs
 }
 
 type node interface {
@@ -46,14 +45,11 @@ func New(order int) *Tree {
 	if order < 3 {
 		panic(fmt.Sprintf("bptree: order must be ≥ 3, got %d", order))
 	}
-	return &Tree{root: &leaf{}, order: order, height: 1}
+	return &Tree{root: &leaf{}, order: order}
 }
 
 // Len returns the number of stored (key, value) pairs.
 func (t *Tree) Len() int { return t.size }
-
-// Height returns the tree height in levels (1 = a single leaf).
-func (t *Tree) Height() int { return t.height }
 
 // Insert adds a (key, value) pair; duplicate keys accumulate values in
 // insertion order.
@@ -61,29 +57,12 @@ func (t *Tree) Insert(key uint64, val uint32) {
 	right, sep := t.root.insert(key, val, t.order)
 	if right != nil {
 		t.root = &internal{keys: []uint64{sep}, children: []node{t.root, right}}
-		t.height++
 	}
 	t.size++
 }
 
 // Get returns all values stored under key in insertion order.
 func (t *Tree) Get(key uint64) ([]uint32, bool) { return t.root.find(key) }
-
-// GetMin returns the smallest value stored under key — the "first position"
-// semantics the set index needs when duplicate sets share a hash.
-func (t *Tree) GetMin(key uint64) (uint32, bool) {
-	vals, ok := t.Get(key)
-	if !ok {
-		return 0, false
-	}
-	min := vals[0]
-	for _, v := range vals[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min, true
-}
 
 // Contains reports whether any value is stored under key.
 func (t *Tree) Contains(key uint64) bool {
@@ -213,61 +192,4 @@ func (in *internal) insert(key uint64, val uint32, order int) (node, uint64) {
 	in.keys = in.keys[:mid:mid]
 	in.children = in.children[: mid+1 : mid+1]
 	return right, upKey
-}
-
-// Delete removes one (key, value) pair, returning whether it was present.
-// Leaves are allowed to become underfull (no rebalancing): deletions are
-// rare in this tree's roles — outlier eviction and update absorption — and
-// lookup correctness does not depend on occupancy.
-func (t *Tree) Delete(key uint64, val uint32) bool {
-	l, i := t.findLeaf(key)
-	if l == nil {
-		return false
-	}
-	vals := l.vals[i]
-	for vi, v := range vals {
-		if v != val {
-			continue
-		}
-		l.vals[i] = append(vals[:vi], vals[vi+1:]...)
-		if len(l.vals[i]) == 0 {
-			l.keys = append(l.keys[:i], l.keys[i+1:]...)
-			l.vals = append(l.vals[:i], l.vals[i+1:]...)
-		}
-		t.size--
-		return true
-	}
-	return false
-}
-
-// DeleteAll removes every value under key and returns how many were
-// removed.
-func (t *Tree) DeleteAll(key uint64) int {
-	l, i := t.findLeaf(key)
-	if l == nil {
-		return 0
-	}
-	n := len(l.vals[i])
-	l.keys = append(l.keys[:i], l.keys[i+1:]...)
-	l.vals = append(l.vals[:i], l.vals[i+1:]...)
-	t.size -= n
-	return n
-}
-
-// findLeaf locates the leaf and slot holding key, or (nil, 0).
-func (t *Tree) findLeaf(key uint64) (*leaf, int) {
-	n := t.root
-	for {
-		switch v := n.(type) {
-		case *leaf:
-			i := sort.Search(len(v.keys), func(i int) bool { return v.keys[i] >= key })
-			if i < len(v.keys) && v.keys[i] == key {
-				return v, i
-			}
-			return nil, 0
-		case *internal:
-			i := sort.Search(len(v.keys), func(i int) bool { return v.keys[i] > key })
-			n = v.children[i]
-		}
-	}
 }

@@ -8,8 +8,8 @@ import (
 
 func TestEmptyTree(t *testing.T) {
 	tr := New(4)
-	if tr.Len() != 0 || tr.Height() != 1 {
-		t.Fatalf("empty tree len=%d height=%d", tr.Len(), tr.Height())
+	if tr.Len() != 0 {
+		t.Fatalf("empty tree len=%d", tr.Len())
 	}
 	if _, ok := tr.Get(42); ok {
 		t.Fatal("empty tree found a key")
@@ -45,16 +45,6 @@ func TestDuplicateKeysAccumulate(t *testing.T) {
 	if vals[0] != 30 || vals[1] != 10 || vals[2] != 20 {
 		t.Fatalf("insertion order not kept: %v", vals)
 	}
-	if min, ok := tr.GetMin(7); !ok || min != 10 {
-		t.Fatalf("GetMin=%v,%v want 10", min, ok)
-	}
-}
-
-func TestGetMinMissing(t *testing.T) {
-	tr := New(4)
-	if _, ok := tr.GetMin(1); ok {
-		t.Fatal("GetMin on empty must fail")
-	}
 }
 
 func TestSplitsSmallOrder(t *testing.T) {
@@ -63,8 +53,12 @@ func TestSplitsSmallOrder(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tr.Insert(uint64(i*7%n), uint32(i))
 	}
-	if tr.Height() < 3 {
-		t.Fatalf("expected multi-level tree, height=%d", tr.Height())
+	root, ok := tr.root.(*internal)
+	if !ok {
+		t.Fatal("expected multi-level tree, root is a leaf")
+	}
+	if _, ok := root.children[0].(*internal); !ok {
+		t.Fatal("expected at least three levels, root's children are leaves")
 	}
 	for i := 0; i < n; i++ {
 		if !tr.Contains(uint64(i)) {
@@ -217,112 +211,5 @@ func BenchmarkGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Get(uint64(i % n))
-	}
-}
-
-func TestDeleteSingleValue(t *testing.T) {
-	tr := New(4)
-	tr.Insert(5, 10)
-	tr.Insert(5, 20)
-	if !tr.Delete(5, 10) {
-		t.Fatal("Delete reported absent")
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len=%d after delete", tr.Len())
-	}
-	vals, ok := tr.Get(5)
-	if !ok || len(vals) != 1 || vals[0] != 20 {
-		t.Fatalf("remaining vals %v", vals)
-	}
-	if tr.Delete(5, 99) {
-		t.Fatal("Delete of absent value must be false")
-	}
-	if tr.Delete(6, 1) {
-		t.Fatal("Delete of absent key must be false")
-	}
-}
-
-func TestDeleteLastValueRemovesKey(t *testing.T) {
-	tr := New(4)
-	tr.Insert(7, 1)
-	if !tr.Delete(7, 1) {
-		t.Fatal("Delete failed")
-	}
-	if tr.Contains(7) {
-		t.Fatal("key should be gone")
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len=%d", tr.Len())
-	}
-}
-
-func TestDeleteAll(t *testing.T) {
-	tr := New(4)
-	for i := 0; i < 5; i++ {
-		tr.Insert(3, uint32(i))
-	}
-	tr.Insert(4, 9)
-	if n := tr.DeleteAll(3); n != 5 {
-		t.Fatalf("DeleteAll removed %d", n)
-	}
-	if tr.Contains(3) || !tr.Contains(4) || tr.Len() != 1 {
-		t.Fatal("DeleteAll semantics broken")
-	}
-	if n := tr.DeleteAll(3); n != 0 {
-		t.Fatal("second DeleteAll must remove nothing")
-	}
-}
-
-func TestDeleteAcrossSplitLeaves(t *testing.T) {
-	tr := New(3)
-	const n = 500
-	for i := 0; i < n; i++ {
-		tr.Insert(uint64(i), uint32(i))
-	}
-	// Delete every third key; verify the rest survive.
-	for i := 0; i < n; i += 3 {
-		if !tr.Delete(uint64(i), uint32(i)) {
-			t.Fatalf("failed to delete %d", i)
-		}
-	}
-	for i := 0; i < n; i++ {
-		want := i%3 != 0
-		if tr.Contains(uint64(i)) != want {
-			t.Fatalf("key %d presence wrong after deletes", i)
-		}
-	}
-}
-
-func TestDeleteMatchesReferenceUnderRandomWorkload(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	tr := New(4)
-	ref := make(map[uint64][]uint32)
-	for step := 0; step < 3000; step++ {
-		k := uint64(rng.Intn(60))
-		if rng.Intn(3) > 0 || len(ref[k]) == 0 {
-			v := uint32(rng.Intn(100))
-			tr.Insert(k, v)
-			ref[k] = append(ref[k], v)
-		} else {
-			v := ref[k][0]
-			if !tr.Delete(k, v) {
-				t.Fatalf("delete of present (%d,%d) failed", k, v)
-			}
-			ref[k] = ref[k][1:]
-			if len(ref[k]) == 0 {
-				delete(ref, k)
-			}
-		}
-	}
-	total := 0
-	for k, want := range ref {
-		got, ok := tr.Get(k)
-		if !ok || len(got) != len(want) {
-			t.Fatalf("key %d: got %v want %v", k, got, want)
-		}
-		total += len(want)
-	}
-	if tr.Len() != total {
-		t.Fatalf("Len=%d want %d", tr.Len(), total)
 	}
 }

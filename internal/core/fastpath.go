@@ -17,11 +17,9 @@ type FastPathOptions struct {
 	// TableBudgetBytes enables the full φ-table when
 	// (MaxID+1) × PhiOut × 8 fits within it. 0 disables the table.
 	TableBudgetBytes int
-	// CacheBytes sizes the sharded φ-cache fallback used when the table
-	// does not fit. 0 disables the fallback.
+	// CacheBytes sizes the φ-cache fallback (64 lock shards) used when the
+	// table does not fit. 0 disables the fallback.
 	CacheBytes int
-	// CacheShards is the cache's lock-shard count (0 = 64).
-	CacheShards int
 }
 
 // DefaultFastPath is applied automatically after Build* and Load*: a full
@@ -40,7 +38,7 @@ func enableFastPath(m *deepsets.Model, o FastPathOptions) string {
 		return "table"
 	}
 	if o.CacheBytes > 0 {
-		m.SetPhiAccel(m.NewPhiCache(o.CacheBytes, o.CacheShards))
+		m.SetPhiAccel(m.NewPhiCache(o.CacheBytes, 64))
 		return "cache"
 	}
 	m.SetPhiAccel(nil)

@@ -61,8 +61,10 @@ func TestEstimatorFastPathEquivalence(t *testing.T) {
 		mode string
 	}{
 		{FastPathOptions{TableBudgetBytes: 1 << 30}, "table"},
-		// A budget of 0 forces the cache; size it well below the universe.
-		{FastPathOptions{CacheBytes: 20 * 16 * 8, CacheShards: 4}, "cache"},
+		// A budget of 0 forces the cache. One 16-wide slot per lock shard
+		// (64) is below the universe, so ids sharing a shard evict each
+		// other.
+		{FastPathOptions{CacheBytes: 64 * 16 * 8}, "cache"},
 	} {
 		if mode := est.EnableFastPath(tc.opts); mode != tc.mode {
 			t.Fatalf("EnableFastPath(%+v) = %q, want %q", tc.opts, mode, tc.mode)
@@ -81,6 +83,9 @@ func TestEstimatorFastPathEquivalence(t *testing.T) {
 			if batch[i] != truth[i] {
 				t.Fatalf("%s: EstimateBatch[%d] = %v, uncached %v", tc.mode, i, batch[i], truth[i])
 			}
+		}
+		if st, _ := est.PhiStats(); st.Mode == "cache" && st.Misses <= uint64(st.Entries) {
+			t.Fatalf("cache never evicted: %+v", st)
 		}
 	}
 

@@ -542,25 +542,3 @@ func (e *Estimator) SizeBytes() int {
 // mapEntryOverhead approximates Go's per-entry map cost (bucket slot, key
 // header, padding).
 const mapEntryOverhead = 32
-
-// EstimateSamples is a convenience that returns q-errors of the estimator
-// against ground-truth samples.
-func (e *Estimator) EstimateSamples(samples []dataset.Sample) []float64 {
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		est := e.Estimate(s.Set)
-		truth := s.Target
-		if est < 1 {
-			est = 1
-		}
-		if truth < 1 {
-			truth = 1
-		}
-		if est > truth {
-			out[i] = est / truth
-		} else {
-			out[i] = truth / est
-		}
-	}
-	return out
-}

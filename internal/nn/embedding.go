@@ -23,9 +23,6 @@ func NewEmbedding(name string, vocab, dim int, rng *rand.Rand) *Embedding {
 // Vocab returns the number of rows in the table.
 func (e *Embedding) Vocab() int { return e.Table.Value.Rows }
 
-// Dim returns the embedding dimensionality.
-func (e *Embedding) Dim() int { return e.Table.Value.Cols }
-
 // Apply records a lookup of id on the tape.
 func (e *Embedding) Apply(t *ad.Tape, id int) *ad.Node {
 	if id < 0 || id >= e.Vocab() {

@@ -2,46 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and clears the gradients.
-	Step(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      map[*Param][]float64
-}
-
-// NewSGD returns an SGD optimizer with learning rate lr.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Param][]float64)}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if o.Momentum == 0 {
-			for i, g := range p.Grad.Data {
-				p.Value.Data[i] -= o.LR * g
-			}
-		} else {
-			v := o.vel[p]
-			if v == nil {
-				v = make([]float64, p.Size())
-				o.vel[p] = v
-			}
-			for i, g := range p.Grad.Data {
-				v[i] = o.Momentum*v[i] - o.LR*g
-				p.Value.Data[i] += v[i]
-			}
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba) — the default used by
 // Keras and therefore by the paper's training setup.
 type Adam struct {
@@ -65,7 +25,7 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update and clears the gradients.
 func (o *Adam) Step(params []*Param) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))

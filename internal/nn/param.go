@@ -1,7 +1,7 @@
 // Package nn builds neural-network components on top of the ad autodiff
-// engine: dense layers, MLPs, embedding tables, LSTM/GRU cells, optimizers,
-// losses, weight initialization, and model serialization. It is the training
-// substrate for every learned structure in this repository.
+// engine: dense layers, MLPs, embedding tables, LSTM/GRU cells, the Adam
+// optimizer, losses, weight initialization, and model serialization. It is
+// the training substrate for every learned structure in this repository.
 package nn
 
 import (
@@ -76,33 +76,3 @@ func NumParams(params []*Param) int {
 // precision, matching how models are persisted and how the paper accounts
 // for model memory.
 func SizeBytes(params []*Param) int { return 4 * NumParams(params) }
-
-// ZeroGrads clears every gradient accumulator in params.
-func ZeroGrads(params []*Param) {
-	for _, p := range params {
-		p.ZeroGrad()
-	}
-}
-
-// GradNorm returns the global L2 norm across all parameter gradients.
-func GradNorm(params []*Param) float64 {
-	var s float64
-	for _, p := range params {
-		for _, g := range p.Grad.Data {
-			s += g * g
-		}
-	}
-	return math.Sqrt(s)
-}
-
-// ClipGradNorm rescales all gradients so their global norm is at most c.
-func ClipGradNorm(params []*Param, c float64) {
-	n := GradNorm(params)
-	if n <= c || n == 0 {
-		return
-	}
-	scale := c / n
-	for _, p := range params {
-		mat.Scale(p.Grad.Data, scale)
-	}
-}

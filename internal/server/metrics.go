@@ -88,55 +88,16 @@ func metricsFor(name string) *endpointMetrics {
 	return m
 }
 
-// φ fast-path stats per endpoint, published as setlearn.<name>.phi. The
-// expvar Func is registered once per name (Publish panics on duplicates);
-// each new Server swaps the closure it reads, so /debug/vars always
-// reflects the most recently served structure.
-var (
-	phiMu  sync.Mutex
-	phiFns = map[string]func() any{}
-)
-
-func publishPhi(name string, fn func() any) {
-	phiMu.Lock()
-	defer phiMu.Unlock()
-	if _, ok := phiFns[name]; !ok {
-		expvar.Publish("setlearn."+name+".phi", expvar.Func(func() any {
-			phiMu.Lock()
-			f := phiFns[name]
-			phiMu.Unlock()
-			return f()
-		}))
-	}
-	phiFns[name] = fn
-}
-
-// Per-shard stats for partitioned containers, published as
-// setlearn.shard.<name> (a list with one entry per shard: sets, bytes,
-// queries routed, φ mode). Registered once per name with a swappable
-// closure, like the φ stats above; monolithic structures render as [].
-var (
-	shardMu  sync.Mutex
-	shardFns = map[string]func() any{}
-)
-
-func publishShard(name string, fn func() any) {
-	shardMu.Lock()
-	defer shardMu.Unlock()
-	if _, ok := shardFns[name]; !ok {
-		expvar.Publish("setlearn.shard."+name, expvar.Func(func() any {
-			shardMu.Lock()
-			f := shardFns[name]
-			shardMu.Unlock()
-			return f()
-		}))
-	}
-	shardFns[name] = fn
-}
-
-// Write-path stats, published with the same once-per-name swappable-closure
-// pattern:
+// Structure stats are published as expvar Funcs. Each name is registered
+// once (expvar.Publish panics on duplicates); each new Server swaps the
+// closure it reads, so /debug/vars always reflects the most recently served
+// structures. Published names:
 //
+//	setlearn.<endpoint>.phi    φ fast-path stats
+//	setlearn.shard.<endpoint>  per-shard stats of a partitioned container (a
+//	                           list with one entry per shard: sets, bytes,
+//	                           queries routed, φ mode); a monolithic
+//	                           structure renders as []
 //	setlearn.delta.<endpoint>  per-structure core.DeltaStats (pending inserts,
 //	                           absorbed count, oldest pending age); a structure
 //	                           without a write surface renders {"mode":"static"}
@@ -147,42 +108,22 @@ func publishShard(name string, fn func() any) {
 //	                           errors, last sweep duration); {"mode":"off"}
 //	                           when no trainer is wired
 var (
-	deltaMu  sync.Mutex
-	deltaFns = map[string]func() any{}
+	funcMu sync.Mutex
+	funcs  = map[string]func() any{}
 )
 
-func publishDelta(name string, fn func() any) {
-	deltaMu.Lock()
-	defer deltaMu.Unlock()
-	if _, ok := deltaFns[name]; !ok {
-		expvar.Publish("setlearn.delta."+name, expvar.Func(func() any {
-			deltaMu.Lock()
-			f := deltaFns[name]
-			deltaMu.Unlock()
+// publishFunc makes the expvar name report fn(), registering the name on
+// first use.
+func publishFunc(name string, fn func() any) {
+	funcMu.Lock()
+	defer funcMu.Unlock()
+	if _, ok := funcs[name]; !ok {
+		expvar.Publish(name, expvar.Func(func() any {
+			funcMu.Lock()
+			f := funcs[name]
+			funcMu.Unlock()
 			return f()
 		}))
 	}
-	deltaFns[name] = fn
-}
-
-var (
-	retrainMu sync.Mutex
-	retrainFn func() any
-)
-
-func publishRetrain(fn func() any) {
-	retrainMu.Lock()
-	defer retrainMu.Unlock()
-	if retrainFn == nil {
-		expvar.Publish("setlearn.retrain.stats", expvar.Func(func() any {
-			retrainMu.Lock()
-			f := retrainFn
-			retrainMu.Unlock()
-			return f()
-		}))
-	}
-	if fn == nil {
-		fn = func() any { return map[string]string{"mode": "off"} }
-	}
-	retrainFn = fn
+	funcs[name] = fn
 }

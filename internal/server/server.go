@@ -140,30 +140,34 @@ func New(st Structures, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: no structures to serve")
 	}
 	if st.Estimator != nil {
-		publishPhi("card", phiStatsVar(st.Estimator.PhiStats))
-		publishShard("card", shardStatsVar(st.Estimator))
-		publishDelta("card", deltaStatsVar(st.Estimator))
+		publishFunc("setlearn.card.phi", phiStatsVar(st.Estimator.PhiStats))
+		publishFunc("setlearn.shard.card", shardStatsVar(st.Estimator))
+		publishFunc("setlearn.delta.card", deltaStatsVar(st.Estimator))
 	}
 	if st.Index != nil {
-		publishPhi("index", phiStatsVar(st.Index.PhiStats))
-		publishShard("index", shardStatsVar(st.Index))
-		publishDelta("index", deltaStatsVar(st.Index))
+		publishFunc("setlearn.index.phi", phiStatsVar(st.Index.PhiStats))
+		publishFunc("setlearn.shard.index", shardStatsVar(st.Index))
+		publishFunc("setlearn.delta.index", deltaStatsVar(st.Index))
 	}
 	if st.Filter != nil {
-		publishPhi("member", phiStatsVar(st.Filter.PhiStats))
-		publishShard("member", shardStatsVar(st.Filter))
-		publishDelta("member", deltaStatsVar(st.Filter))
+		publishFunc("setlearn.member.phi", phiStatsVar(st.Filter.PhiStats))
+		publishFunc("setlearn.shard.member", shardStatsVar(st.Filter))
+		publishFunc("setlearn.delta.member", deltaStatsVar(st.Filter))
 	}
 	cfg.applyDefaults()
 	s := &Server{st: st, cfg: cfg, addr: make(chan net.Addr, 1)}
-	publishDelta("size", func() any {
+	publishFunc("setlearn.delta.size", func() any {
 		total := 0
 		for _, t := range s.insertTargets() {
 			total += t.ins.DeltaStats().Pending
 		}
 		return total
 	})
-	publishRetrain(cfg.RetrainStats)
+	retrain := cfg.RetrainStats
+	if retrain == nil {
+		retrain = func() any { return map[string]string{"mode": "off"} }
+	}
+	publishFunc("setlearn.retrain.stats", retrain)
 	s.http = &http.Server{
 		Addr:         cfg.Addr,
 		Handler:      s.Handler(),

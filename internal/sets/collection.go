@@ -187,26 +187,3 @@ func ReadCollection(r io.Reader) (*Collection, error) {
 	}
 	return c, nil
 }
-
-// ReadTokenCollection parses a collection of string-token sets: one set per
-// line, whitespace-separated tokens (hashtags, log tokens, words). Tokens
-// are interned through a fresh Dict in first-seen order; blank lines and
-// '#'-prefixed comment lines are skipped. This is the ingestion path for
-// real-world data files.
-func ReadTokenCollection(r io.Reader) (*Collection, *Dict, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	c := &Collection{}
-	d := NewDict()
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		c.Sets = append(c.Sets, d.SetOf(strings.Fields(line)...))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("sets: read token collection: %w", err)
-	}
-	return c, d, nil
-}

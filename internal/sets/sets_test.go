@@ -452,24 +452,3 @@ func TestSetAlgebraProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestReadTokenCollection(t *testing.T) {
-	in := "# tweets\npizza dinner yum\ncode go\npizza dinner\n"
-	c, d, err := ReadTokenCollection(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 3 {
-		t.Fatalf("got %d sets", c.Len())
-	}
-	q, ok := d.QueryOf("pizza", "dinner")
-	if !ok {
-		t.Fatal("tokens not interned")
-	}
-	if got := c.Cardinality(q); got != 2 {
-		t.Fatalf("cardinality %d want 2", got)
-	}
-	if d.Len() != 5 { // pizza dinner yum code go
-		t.Fatalf("dict has %d tokens want 5", d.Len())
-	}
-}

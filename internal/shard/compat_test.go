@@ -2,9 +2,15 @@ package shard
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"io"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"setlearn/internal/dataset"
@@ -110,6 +116,128 @@ func TestParentFixtures(t *testing.T) {
 			}
 		}
 	})
+}
+
+// rangeAnswers is the SHA-256 of rangeAnswersDigest over the three
+// committed v3-range-*.bin streams, recorded with the release that wrote
+// them, where they loaded under the position-range partitioner.
+const rangeAnswers = "acf9608f096f26276e815ad11800bb1f694e6649330db5597b906f1940536d78"
+
+// rangeAnswersDigest hashes the answers of a loaded index, estimator and
+// filter over every trained subset of c (with the full sets) and a seeded
+// sample of untrained in-vocabulary queries: index positions (Lookup,
+// LookupEqual and LookupBatch), estimate bits (Estimate and EstimateBatch)
+// and membership (Contains and ContainsBatch).
+func rangeAnswersDigest(c *sets.Collection, x *Index, e *Estimator, f *Filter) string {
+	st := dataset.CollectSubsetsWithFull(c, 2)
+	qs := make([]sets.Set, 0, len(st.Keys)+300)
+	for _, key := range st.Keys {
+		qs = append(qs, st.ByKey[key].Set)
+	}
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 300; i++ {
+		ids := make([]uint32, 1+rng.Intn(3))
+		for j := range ids {
+			ids[j] = uint32(rng.Intn(int(c.MaxID()) + 1))
+		}
+		qs = append(qs, sets.New(ids...))
+	}
+	h := sha256.New()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	pos := x.LookupBatch(nil, qs, false)
+	eq := x.LookupBatch(nil, qs, true)
+	est := e.EstimateBatch(nil, qs)
+	mem := f.ContainsBatch(qs, 2)
+	for i, q := range qs {
+		put(uint64(int64(x.Lookup(q))))
+		put(uint64(int64(x.LookupEqual(q))))
+		put(uint64(int64(pos[i])))
+		put(uint64(int64(eq[i])))
+		put(math.Float64bits(e.Estimate(q)))
+		put(math.Float64bits(est[i]))
+		var m uint64
+		if f.Contains(q) {
+			m |= 1
+		}
+		if mem[i] {
+			m |= 2
+		}
+		put(m)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestRangeStreams: streams written with the removed position-range
+// partitioner (header code 1) by an earlier release — K=3 over the
+// buildIOV3Corpus inputs, the estimator with MeasureBounds — load as hash
+// containers and give every answer they gave under range routing. They
+// keep their measured bounds, answer an insert at once, and re-save as hash
+// containers that round-trip byte-identically.
+func TestRangeStreams(t *testing.T) {
+	c := dataset.GenerateSD(60, 20, 71)
+	load := func(index, card, member []byte) (*Index, *Estimator, *Filter) {
+		t.Helper()
+		x, err := LoadShardedIndex(bytes.NewReader(index), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := LoadShardedEstimator(bytes.NewReader(card))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := LoadShardedFilter(bytes.NewReader(member))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []Partitioner{x.Partitioner(), e.Partitioner(), f.Partitioner()} {
+			if p != HashBySet {
+				t.Fatalf("loaded as %v, want hash", p)
+			}
+		}
+		return x, e, f
+	}
+	read := func(kind string) []byte {
+		b, err := os.ReadFile(filepath.Join("testdata", "v3-range-"+kind+".bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	x, e, f := load(read("index"), read("card"), read("member"))
+	// The digest covers estimate bits, recorded on amd64; other
+	// architectures may fuse multiply-adds.
+	if got := rangeAnswersDigest(c, x, e, f); got != rangeAnswers && runtime.GOARCH == "amd64" {
+		t.Fatalf("answers digest\n got %s\nwant %s", got, rangeAnswers)
+	}
+	if _, ok := e.CombinedErrorBound(); !ok {
+		t.Fatal("measured bounds lost at load")
+	}
+
+	saved := [][]byte{resave(t, x.Save), resave(t, e.Save), resave(t, f.Save)}
+	x2, e2, f2 := load(saved[0], saved[1], saved[2])
+	for i, save := range []func(io.Writer) error{x2.Save, e2.Save, f2.Save} {
+		if again := resave(t, save); !bytes.Equal(saved[i], again) {
+			t.Fatalf("%s: re-save not byte-identical: %d → %d bytes", []string{"index", "card", "member"}[i], len(saved[i]), len(again))
+		}
+	}
+
+	s := sets.New(c.MaxID()+1, c.MaxID()+2)
+	pos := x.InsertSet(s)
+	e.InsertSet(s)
+	f.InsertSet(s)
+	if got := x.Lookup(s); got != pos {
+		t.Fatalf("Lookup(inserted %v) = %d, want %d", s, got, pos)
+	}
+	if got := e.Estimate(s); got != 1 {
+		t.Fatalf("Estimate(inserted %v) = %g, want 1", s, got)
+	}
+	if !f.Contains(s) {
+		t.Fatalf("false negative for inserted %v", s)
+	}
 }
 
 // asV1 rewrites a saved container's header in the version-1 format: kind,

@@ -84,16 +84,6 @@ func (x *Index) lookup(q sets.Set, equal bool) int {
 	if len(q) == 0 {
 		return -1
 	}
-	if x.part == RangeByPosition {
-		// Shards are position-ordered (inserts route to the last shard, at
-		// appended positions): the first shard with a hit wins.
-		for s := 0; s < x.k; s++ {
-			if p := x.lookupShard(x.states[s].Load(), s, q, equal); p >= 0 {
-				return p
-			}
-		}
-		return -1
-	}
 	best := -1
 	for s := 0; s < x.k; s++ {
 		if p := x.lookupShard(x.states[s].Load(), s, q, equal); p >= 0 && (best < 0 || p < best) {

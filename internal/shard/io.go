@@ -139,7 +139,14 @@ func readContainerHeader(r io.Reader, kind string) (containerHeader, error) {
 		return hdr, fmt.Errorf("shard: shard count %d out of range [1, %d]", hdr.Shards, maxShards)
 	}
 	switch p := Partitioner(hdr.Partitioner); {
-	case p == HashBySet || p == RangeByPosition:
+	case p == 1:
+		// The removed position-range partitioner. Any shard is correct for
+		// an insert (its delta serves the set exactly), and the index
+		// fan-in already takes the minimum over all shards, which is the
+		// first hit in range order, so the stream serves the same answers
+		// under hash routing.
+		hdr.Partitioner = int(HashBySet)
+	case p == HashBySet:
 	case (p == FrequencyBand || p == EmbedCluster) && hdr.Version >= 3:
 	default:
 		return hdr, fmt.Errorf("shard: unknown partitioner %d for version %d", hdr.Partitioner, hdr.Version)
@@ -262,7 +269,7 @@ func validateGlobals(hdr containerHeader) error {
 }
 
 // routerToHeader records the router's assignment tables in the header
-// (nothing for stateless hash/range routing or the K=1 degenerate forms).
+// (nothing for stateless hash routing or the K=1 degenerate forms).
 func routerToHeader(rt *router, hdr *containerHeader) {
 	hdr.Present = rt.presenceWords()
 	hdr.Support, hdr.SupportSat = rt.supportToWords()
@@ -284,7 +291,7 @@ func routerToHeader(rt *router, hdr *containerHeader) {
 // load never routes inserts — or prunes queries — from garbage.
 func routerFromHeader(hdr containerHeader) (*router, error) {
 	p := Partitioner(hdr.Partitioner)
-	rt := newRouter(hdr.Shards, p)
+	rt := newRouter(hdr.Shards)
 	if hdr.Present != nil {
 		if len(hdr.Present) != hdr.Shards {
 			return nil, fmt.Errorf("shard: %d presence bitmaps for %d shards", len(hdr.Present), hdr.Shards)
@@ -359,13 +366,30 @@ func routerFromHeader(hdr containerHeader) (*router, error) {
 				}
 			}
 		}
-		cl, err := newClusterRouter(hdr.Centroids, hdr.PilotDim, hdr.PilotMaxID, hdr.PilotSeed)
-		if err != nil {
-			return nil, err
-		}
-		rt.clust = cl
+		// The pilot is rebuilt by attachPilot, once the shard models are
+		// loaded.
 	}
 	return rt, nil
+}
+
+// attachPilot rebuilds the cluster router's pilot model from hdr. The build
+// records the collection's largest element id, which is the largest among
+// its shard models (retrains only raise those), so a larger PilotMaxID is
+// corrupt and is rejected before it sizes the pilot's embedding table.
+// maxID is the largest element id of the loaded shard models.
+func (r *router) attachPilot(hdr containerHeader, maxID uint32) error {
+	if Partitioner(hdr.Partitioner) != EmbedCluster || hdr.Shards < 2 {
+		return nil
+	}
+	if hdr.PilotMaxID > maxID {
+		return fmt.Errorf("shard: pilot vocabulary %d exceeds the shard models' largest element id %d", hdr.PilotMaxID, maxID)
+	}
+	cl, err := newClusterRouter(hdr.Centroids, hdr.PilotDim, hdr.PilotMaxID, hdr.PilotSeed)
+	if err != nil {
+		return err
+	}
+	r.clust = cl
+	return nil
 }
 
 // legacyCalibrated reports whether hdr was written by a calibrated build:
@@ -555,7 +579,7 @@ func (c *container[M, O]) load(r io.Reader, hdr containerHeader, kd *kind[M, O],
 		c.states[s].Store(st)
 	}
 	c.maxID.Store(maxID)
-	return nil
+	return rt.attachPilot(hdr, maxID)
 }
 
 // SniffSharded reports whether the stream served by ra begins with the

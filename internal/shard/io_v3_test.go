@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -238,6 +239,9 @@ func TestShardedV3HeaderPins(t *testing.T) {
 		{"cluster partitioner in a v2 stream", func(h *containerHeader) {
 			h.Version = 2
 		}},
+		{"pilot vocabulary above the shard models'", func(h *containerHeader) {
+			h.PilotMaxID = c.MaxID() + 1
+		}},
 	}
 	for _, tc := range idxCases {
 		tc := tc
@@ -248,6 +252,22 @@ func TestShardedV3HeaderPins(t *testing.T) {
 			}
 		})
 	}
+
+	// The pilot's embedding table has (PilotMaxID+1)×PilotDim weights plus
+	// their gradients: 128 MiB here. A rejected header must not build it.
+	t.Run("index/pilot vocabulary not allocated", func(t *testing.T) {
+		bad := rewriteHeader(t, idxClust, func(h *containerHeader) { h.PilotMaxID = 1 << 20 })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := LoadShardedIndex(bytes.NewReader(bad), c)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("corrupted header loaded without error")
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 16<<20 {
+			t.Fatalf("rejected load allocated %d bytes", n)
+		}
+	})
 }
 
 // legacyCalibratedFixtures reads the committed streams of a calibrated

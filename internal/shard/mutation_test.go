@@ -328,35 +328,6 @@ func TestRetrainMatchesFromScratchRebuild(t *testing.T) {
 	}
 }
 
-// TestRetrainRangePartitioner: under RangeByPosition inserts route to the
-// last shard, whose boundaries differ from a from-scratch partition of the
-// union — so the differential here is exact-path answers, not bits.
-func TestRetrainRangePartitioner(t *testing.T) {
-	const k = 3
-	idx, _, _, c := mutContainers(t, k, RangeByPosition)
-	probes := []sets.Set{c.At(0), c.At(29), c.At(59)}
-	truth := make([]int, len(probes))
-	for i, q := range probes {
-		truth[i] = idx.Lookup(q)
-	}
-	ins := freshSets(c.MaxID(), 4, 2)
-	positions := make([]int, len(ins))
-	for i, s := range ins {
-		positions[i] = idx.InsertSet(s)
-	}
-	drainDeltas(t, idx, k)
-	for i, s := range ins {
-		if got := idx.Lookup(s); got != positions[i] {
-			t.Fatalf("absorbed Lookup(%v) = %d, want %d", s, got, positions[i])
-		}
-	}
-	for i, q := range probes {
-		if got := idx.Lookup(q); got != truth[i] {
-			t.Fatalf("trained probe moved: Lookup(%v) = %d, want %d", q, got, truth[i])
-		}
-	}
-}
-
 // TestInsertOrderPermutation is the metamorphic satellite: the exact paths
 // must not care about insert order. Two containers receive the same sets
 // in different orders; before any retrain their delta-served answers are

@@ -41,8 +41,8 @@ const (
 )
 
 // router owns shard assignment after build: where inserted sets go, and
-// which shards a query can provably skip. Hash and range keep no assignment
-// state; freq and cluster carry the build-time tables, which persist in the
+// which shards a query can provably skip. Hash keeps no assignment state;
+// freq and cluster carry the build-time tables, which persist in the
 // v3 container header. Routing must stay consistent with the build-time
 // partition or the freq pruning invariant (shard s holds only sets scoring
 // ≤ bounds[s]) would break after a retrain absorbed misrouted inserts.
@@ -57,7 +57,6 @@ const (
 //     so they stay sound across retrains and reloads.
 type router struct {
 	k       int
-	part    Partitioner
 	freq    *freqRouter     // FrequencyBand with k > 1
 	clust   *clusterRouter  // EmbedCluster with k > 1
 	present []presence      // per-shard element bitmaps; nil with K=1 or pre-v3 loads
@@ -122,21 +121,12 @@ func (p *presence) mark(s sets.Set) {
 	p.words.Store(&next)
 }
 
-// ownerShard picks the shard an inserted set routes to under stateless
-// routing: its content hash under HashBySet (a pure function of the
-// elements), or the last — highest-position — shard under RangeByPosition.
-// Unlike the trained fan-out, empty shards are not skipped: their delta
-// serves the set exactly until a retrain builds the shard's first model.
-func ownerShard(k int, p Partitioner, s sets.Set) int {
-	if p == HashBySet {
-		return int(s.Hash() % uint64(k))
-	}
-	return k - 1
-}
-
-// newRouter returns a stateless router (hash/range semantics; also the K=1
-// degenerate form of freq/cluster, where every set routes to shard 0).
-func newRouter(k int, p Partitioner) *router { return &router{k: k, part: p} }
+// newRouter returns a stateless router: inserts route by content hash, a
+// pure function of the elements (also the K=1 degenerate form of
+// freq/cluster, where every set routes to shard 0). Unlike the trained
+// fan-out, empty shards are not skipped: their delta serves the set exactly
+// until a retrain builds the shard's first model.
+func newRouter(k int) *router { return &router{k: k} }
 
 // owner picks the shard an inserted set routes to.
 func (r *router) owner(s sets.Set) int {
@@ -146,7 +136,7 @@ func (r *router) owner(s sets.Set) int {
 	case r.clust != nil:
 		return r.clust.owner(s)
 	default:
-		return ownerShard(r.k, r.part, s)
+		return int(s.Hash() % uint64(r.k))
 	}
 }
 
@@ -347,7 +337,7 @@ func sqDist(a, b []float64) float64 {
 // pruning. seed feeds the cluster pilot; K=1 skips all partitioner state
 // (every partitioner is the identity there, preserving K=1 ≡ monolith).
 func buildPartition(c *sets.Collection, k int, p Partitioner, seed int64) ([]*sets.Collection, [][]int, *router, error) {
-	rt := newRouter(k, p)
+	rt := newRouter(k)
 	n := c.Len()
 	assign := make([]int, n)
 	switch {
@@ -356,10 +346,6 @@ func buildPartition(c *sets.Collection, k int, p Partitioner, seed int64) ([]*se
 	case p == HashBySet:
 		for pos := 0; pos < n; pos++ {
 			assign[pos] = int(c.At(pos).Hash() % uint64(k))
-		}
-	case p == RangeByPosition:
-		for pos := 0; pos < n; pos++ {
-			assign[pos] = pos * k / n
 		}
 	case p == FrequencyBand:
 		rt.freq = buildFreqRouter(c, k, assign)
@@ -513,8 +499,8 @@ func kmeansCentroids(vecs [][]float64, k int) [][]float64 {
 }
 
 // balancedAssign assigns each position (in order) to the nearest centroid
-// with remaining capacity ⌈n/k⌉, so no shard exceeds the balance a range
-// partition would give — cluster quality never costs build parallelism.
+// with remaining capacity ⌈n/k⌉, so no shard exceeds an even split —
+// cluster quality never costs build parallelism.
 func balancedAssign(vecs [][]float64, cents [][]float64, assign []int) {
 	n, k := len(vecs), len(cents)
 	cap := (n + k - 1) / k

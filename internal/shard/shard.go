@@ -44,36 +44,32 @@ import (
 // Partitioner selects how sets are assigned to shards.
 type Partitioner int
 
+// The values are persisted in container headers. Code 1 belonged to a
+// position-range partitioner; streams that carry it load as HashBySet (see
+// readContainerHeader).
 const (
 	// HashBySet routes each set by its permutation-invariant content hash:
 	// shard = Hash(S) mod K. Insert routes new sets the same way, so a
 	// set's owning shard is a pure function of its elements.
-	HashBySet Partitioner = iota
-	// RangeByPosition splits the collection into K contiguous position
-	// ranges: shard s owns positions [s·N/K, (s+1)·N/K). Shards are ordered
-	// by position, so an index fan-out can stop at the first shard that
-	// answers. Inserts (which append) route to the last shard.
-	RangeByPosition
+	HashBySet Partitioner = 0
 	// FrequencyBand scores each set by the corpus frequency of its most
 	// frequent element and cuts the score order into K equal-count bands,
 	// so each shard sees a coherent slice of the Zipf skew. Shards are
 	// score-disjoint, which lets queries provably skip shards that cannot
 	// contain a trained superset (see router.prunes). Inserts route to the
 	// first band whose score bound covers the set.
-	FrequencyBand
+	FrequencyBand Partitioner = 2
 	// EmbedCluster groups sets by k-means over pooled φ embeddings from a
 	// tiny fixed-seed pilot model, so each shard's model fits a narrower
 	// content distribution. Inserts route to the nearest centroid (hash
 	// fallback for out-of-vocabulary sets).
-	EmbedCluster
+	EmbedCluster Partitioner = 3
 )
 
 func (p Partitioner) String() string {
 	switch p {
 	case HashBySet:
 		return "hash"
-	case RangeByPosition:
-		return "range"
 	case FrequencyBand:
 		return "freq"
 	case EmbedCluster:
@@ -83,20 +79,17 @@ func (p Partitioner) String() string {
 	}
 }
 
-// ParsePartitioner parses the CLI spelling ("hash", "range", "freq", or
-// "cluster").
+// ParsePartitioner parses the CLI spelling ("hash", "freq", or "cluster").
 func ParsePartitioner(s string) (Partitioner, error) {
 	switch s {
 	case "hash":
 		return HashBySet, nil
-	case "range":
-		return RangeByPosition, nil
 	case "freq":
 		return FrequencyBand, nil
 	case "cluster":
 		return EmbedCluster, nil
 	default:
-		return 0, fmt.Errorf("shard: unknown partitioner %q (want \"hash\", \"range\", \"freq\", or \"cluster\")", s)
+		return 0, fmt.Errorf("shard: unknown partitioner %q (want \"hash\", \"freq\", or \"cluster\")", s)
 	}
 }
 
@@ -129,7 +122,7 @@ func (o Options) withDefaults() (Options, error) {
 		return o, fmt.Errorf("shard: shard count %d out of range [1, %d]", o.Shards, maxShards)
 	}
 	switch o.Partitioner {
-	case HashBySet, RangeByPosition, FrequencyBand, EmbedCluster:
+	case HashBySet, FrequencyBand, EmbedCluster:
 	default:
 		return o, fmt.Errorf("shard: unknown partitioner %d", int(o.Partitioner))
 	}

@@ -165,7 +165,7 @@ func shardedFilter(tb testing.TB, k int, p Partitioner) *Filter {
 // power of two, the bench default, and a prime that leaves shards uneven).
 var testKs = []int{1, 2, 4, 7}
 
-var testPartitioners = []Partitioner{HashBySet, RangeByPosition, FrequencyBand, EmbedCluster}
+var testPartitioners = []Partitioner{HashBySet, FrequencyBand, EmbedCluster}
 
 // forEachConfig runs fn as a subtest for every (K, partitioner) pair.
 func forEachConfig(t *testing.T, fn func(t *testing.T, k int, p Partitioner)) {

@@ -9,16 +9,14 @@ import (
 	"setlearn/internal/deepsets"
 )
 
-// GuidedConfig controls the iterative guided-learning procedure of §6: the
-// model first trains for WarmupEpochs on the full data, then samples whose
-// prediction error exceeds the Percentile threshold are evicted into the
-// outlier set, and training continues on the remainder. Additional
-// eviction rounds repeat the measure-evict-train cycle.
+// GuidedConfig controls the guided-learning procedure of §6: the model
+// first trains for half the epochs (at least one) on the full data, then
+// samples whose prediction error exceeds the Percentile threshold are
+// evicted into the outlier set, and training continues on the remainder for
+// the remaining epochs.
 type GuidedConfig struct {
-	Train        Config
-	WarmupEpochs int     // epochs before the first eviction (default: half of Train.Epochs)
-	Percentile   float64 // 0–100; e.g. 90 evicts the worst 10% (0 disables eviction)
-	Rounds       int     // eviction rounds (default 1)
+	Train      Config
+	Percentile float64 // 0–100; e.g. 90 evicts the worst 10% (0 disables eviction)
 }
 
 // GuidedResult reports the outcome of guided training.
@@ -28,18 +26,9 @@ type GuidedResult struct {
 	FinalLoss float64
 }
 
-func (c *GuidedConfig) applyDefaults() {
-	c.Train.applyDefaults()
-	if c.WarmupEpochs == 0 {
-		c.WarmupEpochs = c.Train.Epochs / 2
-		if c.WarmupEpochs == 0 {
-			c.WarmupEpochs = 1
-		}
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 1
-	}
-}
+// warmup is how many of the epochs both guided procedures train on the
+// full data before the first eviction: half, at least one.
+func warmup(epochs int) int { return max(epochs/2, 1) }
 
 // Guided trains m on samples with eviction of hard-to-learn outliers. The
 // returned outliers must be stored in the hybrid structure's auxiliary
@@ -48,65 +37,46 @@ func Guided(m *deepsets.Model, samples []dataset.Sample, sc Scaler, cfg GuidedCo
 	if err := cfg.Train.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.applyDefaults()
+	cfg.Train.applyDefaults()
 	if cfg.Percentile < 0 || cfg.Percentile > 100 {
 		return nil, fmt.Errorf("train: percentile %v out of [0,100]", cfg.Percentile)
 	}
 
-	res := &GuidedResult{Kept: samples}
 	if cfg.Percentile == 0 || cfg.Percentile == 100 {
 		// No eviction: plain training ("No Removal" in Table 5).
 		loss, err := Regression(m, samples, sc, cfg.Train)
-		res.FinalLoss = loss
-		return res, err
+		return &GuidedResult{Kept: samples, FinalLoss: loss}, err
 	}
 
-	remaining := cfg.Train.Epochs
 	warmCfg := cfg.Train
-	warmCfg.Epochs = cfg.WarmupEpochs
-	if warmCfg.Epochs > remaining {
-		warmCfg.Epochs = remaining
-	}
-	if _, err := Regression(m, res.Kept, sc, warmCfg); err != nil {
+	warmCfg.Epochs = warmup(cfg.Train.Epochs)
+	if _, err := Regression(m, samples, sc, warmCfg); err != nil {
 		return nil, err
 	}
-	remaining -= warmCfg.Epochs
 
-	for round := 0; round < cfg.Rounds; round++ {
-		errs := AbsErrors(m, res.Kept, sc)
-		threshold := Percentile(errs, cfg.Percentile)
-		var kept, evicted []dataset.Sample
-		for i, s := range res.Kept {
-			if errs[i] > threshold {
-				evicted = append(evicted, s)
-			} else {
-				kept = append(kept, s)
-			}
+	errs := AbsErrors(m, samples, sc)
+	threshold := Percentile(errs, cfg.Percentile)
+	res := &GuidedResult{}
+	for i, s := range samples {
+		if errs[i] > threshold {
+			res.Outliers = append(res.Outliers, s)
+		} else {
+			res.Kept = append(res.Kept, s)
 		}
-		if len(kept) == 0 {
-			// Degenerate distribution: everything is an outlier; the hybrid
-			// falls back to the auxiliary structure (§6 "worst case").
-			res.Outliers = append(res.Outliers, evicted...)
-			res.Kept = nil
-			return res, nil
+	}
+	if len(res.Kept) == 0 {
+		// Degenerate distribution: everything is an outlier; the hybrid
+		// falls back to the auxiliary structure (§6 "worst case").
+		return res, nil
+	}
+	if rest := cfg.Train.Epochs - warmCfg.Epochs; rest > 0 {
+		contCfg := cfg.Train
+		contCfg.Epochs = rest
+		loss, err := Regression(m, res.Kept, sc, contCfg)
+		if err != nil {
+			return nil, err
 		}
-		res.Kept = kept
-		res.Outliers = append(res.Outliers, evicted...)
-
-		epochs := remaining
-		if round+1 < cfg.Rounds {
-			epochs = remaining / (cfg.Rounds - round)
-		}
-		if epochs > 0 {
-			contCfg := cfg.Train
-			contCfg.Epochs = epochs
-			loss, err := Regression(m, res.Kept, sc, contCfg)
-			if err != nil {
-				return nil, err
-			}
-			res.FinalLoss = loss
-			remaining -= epochs
-		}
+		res.FinalLoss = loss
 	}
 	return res, nil
 }
@@ -183,43 +153,23 @@ func Mean(xs []float64) float64 {
 // AutoGuidedConfig drives the automatic threshold setting of §6: instead of
 // a fixed eviction percentile, eviction rounds continue until the model's
 // mean q-error over the samples it keeps reaches TargetQError ("we set the
-// error to always reach a q-error in the range [1, 1.4]"), or until
-// MaxEvictFraction of the data has been evicted (the memory/accuracy
-// balance knob).
+// error to always reach a q-error in the range [1, 1.4]"), or until half of
+// the data has been evicted.
 type AutoGuidedConfig struct {
-	Train            Config
-	WarmupEpochs     int     // epochs before the first eviction (default: half)
-	TargetQError     float64 // stop once mean kept q-error ≤ this (default 1.4)
-	StepPercent      float64 // evicted per round, % of remaining (default 10)
-	MaxEvictFraction float64 // hard cap on total eviction (default 0.5)
-	RoundEpochs      int     // extra epochs after each eviction (default 3)
-	MaxRounds        int     // safety bound (default 10)
+	Train        Config
+	TargetQError float64 // stop once mean kept q-error ≤ this (default 1.4)
 }
 
-func (c *AutoGuidedConfig) applyDefaults() {
-	c.Train.applyDefaults()
-	if c.WarmupEpochs == 0 {
-		c.WarmupEpochs = c.Train.Epochs / 2
-		if c.WarmupEpochs == 0 {
-			c.WarmupEpochs = 1
-		}
-	}
-	if c.TargetQError == 0 {
-		c.TargetQError = 1.4
-	}
-	if c.StepPercent == 0 {
-		c.StepPercent = 10
-	}
-	if c.MaxEvictFraction == 0 {
-		c.MaxEvictFraction = 0.5
-	}
-	if c.RoundEpochs == 0 {
-		c.RoundEpochs = 3
-	}
-	if c.MaxRounds == 0 {
-		c.MaxRounds = 10
-	}
-}
+// AutoGuided's eviction schedule: after the warm-up, each round evicts the
+// worst autoEvictPercent of the kept samples and trains autoEpochsPerRound
+// more epochs, for at most autoRoundLimit rounds. autoEvictCap caps the
+// evicted share of all samples, which balances aux memory against accuracy.
+const (
+	autoEvictPercent   = 10
+	autoEvictCap       = 0.5
+	autoEpochsPerRound = 3
+	autoRoundLimit     = 10
+)
 
 // AutoGuided trains m, evicting outliers round by round until the kept
 // q-error reaches the target or the eviction budget is spent. In the best
@@ -229,20 +179,23 @@ func AutoGuided(m *deepsets.Model, samples []dataset.Sample, sc Scaler, cfg Auto
 	if err := cfg.Train.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.applyDefaults()
+	cfg.Train.applyDefaults()
+	if cfg.TargetQError == 0 {
+		cfg.TargetQError = 1.4
+	}
 	if cfg.TargetQError < 1 {
 		return nil, fmt.Errorf("train: target q-error %v below 1", cfg.TargetQError)
 	}
 	res := &GuidedResult{Kept: samples}
 
 	warmCfg := cfg.Train
-	warmCfg.Epochs = cfg.WarmupEpochs
+	warmCfg.Epochs = warmup(cfg.Train.Epochs)
 	if _, err := Regression(m, res.Kept, sc, warmCfg); err != nil {
 		return nil, err
 	}
 
-	maxEvict := int(cfg.MaxEvictFraction * float64(len(samples)))
-	for round := 0; round < cfg.MaxRounds; round++ {
+	maxEvict := int(autoEvictCap * float64(len(samples)))
+	for round := 0; round < autoRoundLimit; round++ {
 		qs := QErrors(m, res.Kept, sc)
 		if Mean(qs) <= cfg.TargetQError {
 			break
@@ -250,7 +203,7 @@ func AutoGuided(m *deepsets.Model, samples []dataset.Sample, sc Scaler, cfg Auto
 		if len(res.Outliers) >= maxEvict {
 			break
 		}
-		threshold := Percentile(qs, 100-cfg.StepPercent)
+		threshold := Percentile(qs, 100-autoEvictPercent)
 		var kept, evicted []dataset.Sample
 		for i, s := range res.Kept {
 			if qs[i] > threshold && len(res.Outliers)+len(evicted) < maxEvict {
@@ -266,7 +219,7 @@ func AutoGuided(m *deepsets.Model, samples []dataset.Sample, sc Scaler, cfg Auto
 		res.Outliers = append(res.Outliers, evicted...)
 
 		roundCfg := cfg.Train
-		roundCfg.Epochs = cfg.RoundEpochs
+		roundCfg.Epochs = autoEpochsPerRound
 		loss, err := Regression(m, res.Kept, sc, roundCfg)
 		if err != nil {
 			return nil, err

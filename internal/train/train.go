@@ -14,30 +14,13 @@ import (
 	"setlearn/internal/sets"
 )
 
-// LossKind selects the regression loss.
-type LossKind int
-
-// Regression losses. MAE in scaled-log space equals log q-error up to the
-// constant (max−min), so it is the default (Table 1's "Q-Error" loss); MSE
-// is the smooth alternative mentioned in §4.1.
-const (
-	LossMAE LossKind = iota
-	LossMSE
-)
-
 // Config controls a training run.
 type Config struct {
 	Epochs    int
 	LR        float64
-	Loss      LossKind
-	BatchSize int     // samples per optimizer step (default 32)
-	ClipNorm  float64 // global gradient-norm clip; 0 disables
-	Workers   int     // parallel gradient workers (default GOMAXPROCS, ≤ batch)
-	Seed      int64   // shuffling seed
-	// Patience stops training early when the mean epoch loss has not
-	// improved (by at least 0.1%) for this many consecutive epochs;
-	// 0 disables early stopping.
-	Patience int
+	BatchSize int   // samples per optimizer step (default 32)
+	Workers   int   // parallel gradient workers (default GOMAXPROCS, ≤ batch)
+	Seed      int64 // shuffling seed
 	// OnEpoch, when non-nil, receives the epoch number and its mean loss.
 	OnEpoch func(epoch int, meanLoss float64)
 }
@@ -78,8 +61,9 @@ func (c Config) Validate() error {
 }
 
 // Regression trains m on samples with targets transformed by sc, minimizing
-// the configured loss in scaled space. It returns the final epoch's mean
-// loss.
+// the mean absolute error in scaled space. With the scaled-log targets of
+// Scaler this equals log q-error up to the constant (max−min), Table 1's
+// "Q-Error" loss. It returns the final epoch's mean loss.
 func Regression(m *deepsets.Model, samples []dataset.Sample, sc Scaler, cfg Config) (float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
@@ -92,12 +76,8 @@ func Regression(m *deepsets.Model, samples []dataset.Sample, sc Scaler, cfg Conf
 	for i, s := range samples {
 		scaled[i] = sc.Scale(s.Target)
 	}
-	loss := deepsets.LossMAE
-	if cfg.Loss == LossMSE {
-		loss = deepsets.LossMSE
-	}
 	sample := func(i int) (sets.Set, float64) { return samples[i].Set, scaled[i] }
-	return run(m, len(samples), cfg, sample, loss), nil
+	return run(m, len(samples), cfg, sample, deepsets.LossMAE), nil
 }
 
 // Classification trains m as a learned Bloom filter (§4.3) on positive and
@@ -155,8 +135,6 @@ func run(m *deepsets.Model, n int, cfg Config, sample func(i int) (sets.Set, flo
 	}
 
 	var lastMean float64
-	best := math.Inf(1)
-	stale := 0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		shuffle(rng, order)
 		var epochLoss float64
@@ -166,25 +144,11 @@ func run(m *deepsets.Model, n int, cfg Config, sample func(i int) (sets.Set, flo
 				end = n
 			}
 			epochLoss += runBatch(workers, params, order[start:end], sample, loss)
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(params, cfg.ClipNorm)
-			}
 			opt.Step(params)
 		}
 		lastMean = epochLoss / float64(n)
 		if cfg.OnEpoch != nil {
 			cfg.OnEpoch(epoch, lastMean)
-		}
-		if cfg.Patience > 0 {
-			if lastMean < best*0.999 {
-				best = lastMean
-				stale = 0
-			} else {
-				stale++
-				if stale >= cfg.Patience {
-					break
-				}
-			}
 		}
 	}
 	return lastMean

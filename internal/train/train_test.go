@@ -259,27 +259,6 @@ func TestGuidedRejectsBadPercentile(t *testing.T) {
 	}
 }
 
-func TestGuidedMultipleRounds(t *testing.T) {
-	c, st := smallCollection()
-	samples := st.IndexSamples()
-	sc := FitScaler(samples)
-	m := newModel(t, c.MaxID(), false)
-	res, err := Guided(m, samples, sc, GuidedConfig{
-		Train:      Config{Epochs: 12, LR: 0.01, Seed: 4, Workers: 1},
-		Percentile: 80,
-		Rounds:     2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Kept)+len(res.Outliers) != len(samples) {
-		t.Fatal("sample conservation violated across rounds")
-	}
-	if len(res.Outliers) == 0 {
-		t.Fatal("two rounds at percentile 80 must evict something")
-	}
-}
-
 func TestAbsErrorsAndQErrors(t *testing.T) {
 	c, st := smallCollection()
 	samples := st.CardinalitySamples()[:50]
@@ -300,24 +279,38 @@ func TestAbsErrorsAndQErrors(t *testing.T) {
 	}
 }
 
-func TestEarlyStoppingHalts(t *testing.T) {
+// TestOnEpoch: the hook runs once per epoch, in order, with a finite mean
+// loss, and the last one is the loss Regression returns.
+func TestOnEpoch(t *testing.T) {
 	c, st := smallCollection()
 	samples := st.CardinalitySamples()[:100]
 	sc := FitScaler(samples)
 	m := newModel(t, c.MaxID(), false)
-	epochs := 0
-	_, err := Regression(m, samples, sc, Config{
-		Epochs: 200, LR: 0.05, Seed: 1, Workers: 1, Patience: 3,
-		OnEpoch: func(int, float64) { epochs++ },
+	var epochs []int
+	var last float64
+	final, err := Regression(m, samples, sc, Config{
+		Epochs: 5, LR: 0.05, Seed: 1, Workers: 1,
+		OnEpoch: func(epoch int, meanLoss float64) {
+			epochs = append(epochs, epoch)
+			if math.IsNaN(meanLoss) || math.IsInf(meanLoss, 0) || meanLoss < 0 {
+				t.Errorf("epoch %d: mean loss %v", epoch, meanLoss)
+			}
+			last = meanLoss
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epochs >= 200 {
-		t.Fatalf("early stopping never fired (%d epochs)", epochs)
+	if len(epochs) != 5 {
+		t.Fatalf("OnEpoch ran %d times over 5 epochs", len(epochs))
 	}
-	if epochs < 4 {
-		t.Fatalf("stopped suspiciously early (%d epochs)", epochs)
+	for i, e := range epochs {
+		if e != i {
+			t.Fatalf("OnEpoch epochs %v, want 0..4 in order", epochs)
+		}
+	}
+	if last != final {
+		t.Fatalf("last OnEpoch loss %v, Regression returned %v", last, final)
 	}
 }
 
