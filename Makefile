@@ -29,8 +29,10 @@ lint: fmt-check
 test:
 	$(GO) test ./...
 
+# internal/bench's tiny-scale experiment sweep takes about 6 minutes under
+# -race on 2 vCPUs, too close to go test's default 10m per-package limit.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # The live-mutation battery under the race detector: goroutines query all
 # three sharded containers while writers insert and the background trainer

@@ -16,6 +16,7 @@ import (
 
 	"setlearn/internal/bench"
 	"setlearn/internal/dataset"
+	"setlearn/internal/deepsets"
 )
 
 func runExperiment(b *testing.B, name string) {
@@ -231,7 +232,8 @@ func inferenceFixture(b *testing.B) *bench.InferenceFixture {
 	return f
 }
 
-// BenchmarkInferenceUncached runs φ from scratch for every element.
+// BenchmarkInferenceUncached runs φ and ρ's first weight matrix from
+// scratch for every element.
 func BenchmarkInferenceUncached(b *testing.B) {
 	f := inferenceFixture(b)
 	f.Model.SetPhiAccel(nil)
@@ -243,7 +245,8 @@ func BenchmarkInferenceUncached(b *testing.B) {
 	}
 }
 
-// BenchmarkInferencePhiTable reads φ rows from the precomputed table.
+// BenchmarkInferencePhiTable reads each element's row W₁·φ from the
+// precomputed table.
 func BenchmarkInferencePhiTable(b *testing.B) {
 	f := inferenceFixture(b)
 	f.Model.SetPhiAccel(f.Model.BuildPhiTable())
@@ -255,12 +258,11 @@ func BenchmarkInferencePhiTable(b *testing.B) {
 	}
 }
 
-// BenchmarkInferencePhiCache reads φ through the sharded cache, sized to
-// half the universe so eviction stays on the measured path.
+// BenchmarkInferencePhiCache reads rows through the sharded cache, sized to
+// half the table so eviction stays on the measured path.
 func BenchmarkInferencePhiCache(b *testing.B) {
 	f := inferenceFixture(b)
-	cfg := f.Model.Config()
-	f.Model.SetPhiAccel(f.Model.NewPhiCache(dataset.Tiny.RWVocab/2*cfg.PhiOut*8, 0))
+	f.Model.SetPhiAccel(f.Model.NewPhiCache(deepsets.PhiTableBytes(f.Model.Config())/2, 0))
 	p := f.Model.NewPredictor()
 	b.ReportAllocs()
 	b.ResetTimer()

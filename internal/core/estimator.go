@@ -55,7 +55,7 @@ func BuildEstimator(c *sets.Collection, opts EstimatorOptions) (*CardinalityEsti
 	if err != nil {
 		return nil, fmt.Errorf("core: train estimator model: %w", err)
 	}
-	enableFastPath(m, DefaultFastPath)
+	serveModel(m)
 	est := &CardinalityEstimator{
 		hybrid:    hybrid.BuildEstimator(m, sc, res),
 		maxSubset: opts.MaxSubset,

@@ -1,12 +1,16 @@
 package core
 
-import "setlearn/internal/deepsets"
+import (
+	"setlearn/internal/deepsets"
+	"setlearn/internal/nn"
+)
 
 // FastPathOptions selects the φ acceleration mode for a trained structure.
-// After training, φ(embed(x)) is a pure function of the element id, so its
-// outputs can be precomputed (PhiTable) or cached (sharded PhiCache) —
-// turning a size-k query into k vector adds plus one ρ evaluation, with
-// bit-identical results.
+// After training, an element's row — W₁·φ(embed(x)) with ρ's first weight
+// matrix folded in, for sum and mean pooling — is a pure function of the
+// element id, so rows can be precomputed (PhiTable) or cached (sharded
+// PhiCache) — turning a size-k query into k row adds plus the rest of ρ,
+// with bit-identical results.
 //
 // The sharded containers publish the options to their query paths through
 // atomic.Pointer, so a value is immutable once installed: build a new
@@ -15,7 +19,8 @@ import "setlearn/internal/deepsets"
 //lint:frozen
 type FastPathOptions struct {
 	// TableBudgetBytes enables the full φ-table when
-	// (MaxID+1) × PhiOut × 8 fits within it. 0 disables the table.
+	// deepsets.PhiTableBytes — (MaxID+1) × RhoHidden[0] × 8 at the core
+	// defaults — fits within it. 0 disables the table.
 	TableBudgetBytes int
 	// CacheBytes sizes the φ-cache fallback (64 lock shards) used when the
 	// table does not fit. 0 disables the fallback.
@@ -23,11 +28,21 @@ type FastPathOptions struct {
 }
 
 // DefaultFastPath is applied automatically after Build* and Load*: a full
-// φ-table for universes up to 32 MiB of φ outputs, with an 8 MiB sharded
-// cache as the large-universe fallback.
+// φ-table for universes up to 32 MiB of rows, with an 8 MiB sharded cache
+// as the large-universe fallback.
 var DefaultFastPath = FastPathOptions{
 	TableBudgetBytes: 32 << 20,
 	CacheBytes:       8 << 20,
+}
+
+// serveModel readies a freshly trained model for serving, before a build
+// measures anything on it: it rounds the weights to the float32 precision
+// a save keeps, so a built structure and its reload serve one model, and
+// installs the default fast path. The index's error bounds and the
+// filter's false negatives are then measured on exactly what is served.
+func serveModel(m *deepsets.Model) {
+	nn.RoundToFloat32(m.Params())
+	enableFastPath(m, DefaultFastPath)
 }
 
 // enableFastPath installs the accel that o selects on m and reports the

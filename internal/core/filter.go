@@ -87,6 +87,7 @@ func BuildMembershipFilter(c *sets.Collection, opts FilterOptions) (*MembershipF
 	if _, err := train.Classification(m, md, opts.Model.trainConfig()); err != nil {
 		return nil, fmt.Errorf("core: train filter model: %w", err)
 	}
+	serveModel(m)
 
 	f := &MembershipFilter{
 		model:     m,
@@ -120,7 +121,6 @@ func BuildMembershipFilter(c *sets.Collection, opts FilterOptions) (*MembershipF
 	for _, s := range falseNegatives {
 		f.backup.Add(s.Hash())
 	}
-	enableFastPath(m, DefaultFastPath)
 	return f, nil
 }
 

@@ -2,17 +2,22 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"setlearn/internal/dataset"
+	"setlearn/internal/deepsets"
 	"setlearn/internal/sets"
 )
 
 // TestGoldenRoundTrip guards the `setlearn -save` → `setlearnd` handoff:
 // train tiny structures at a fixed seed, save, load, and require (a) the
 // loaded structure re-serializes byte-identically — the format is fully
-// deterministic, nothing is lost or reordered — and (b) identical answers
-// on a fixed query workload across the handoff.
+// deterministic, nothing is lost or reordered — and (b) the built and the
+// loaded structure give identical answers and identical model outputs, bit
+// for bit, on a fixed query workload: the builders serve the float32
+// weights a save keeps, so the bounds and backup measured at build hold
+// for the loaded structure too.
 func TestGoldenRoundTrip(t *testing.T) {
 	c := dataset.GenerateSD(120, 30, 83)
 	workload := func() []sets.Set {
@@ -26,6 +31,18 @@ func TestGoldenRoundTrip(t *testing.T) {
 		qs = append(qs, sets.New(c.MaxID()+5)) // out-of-vocabulary miss
 		return qs
 	}()
+	sameModel := func(t *testing.T, built, loaded *deepsets.Model) {
+		t.Helper()
+		a, b := built.NewPredictor(), loaded.NewPredictor()
+		for _, q := range workload {
+			if q[len(q)-1] > c.MaxID() {
+				continue
+			}
+			if x, y := a.Predict(q), b.Predict(q); math.Float64bits(x) != math.Float64bits(y) {
+				t.Fatalf("model output for %v: built %v, reloaded %v", q, x, y)
+			}
+		}
+	}
 
 	t.Run("index", func(t *testing.T) {
 		idx, err := BuildIndex(c, IndexOptions{Model: tinyModel(), MaxSubset: 2, Percentile: 90})
@@ -56,6 +73,7 @@ func TestGoldenRoundTrip(t *testing.T) {
 				t.Fatalf("LookupEqual(%v): trained %d, reloaded %d", q, a, b)
 			}
 		}
+		sameModel(t, idx.Hybrid().Model(), loaded.Hybrid().Model())
 	})
 
 	t.Run("estimator", func(t *testing.T) {
@@ -82,18 +100,12 @@ func TestGoldenRoundTrip(t *testing.T) {
 			t.Fatalf("re-serialization not byte-identical: %d vs %d bytes",
 				first.Len(), second.Len())
 		}
-		// The loaded model carries float32-rounded weights, so the loaded
-		// estimator is the golden reference: a second load must answer
-		// exactly like it (and the server serves exactly these answers).
-		reload, err := LoadCardinalityEstimator(bytes.NewReader(second.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, q := range workload {
-			if a, b := loaded.Estimate(q), reload.Estimate(q); a != b {
-				t.Fatalf("Estimate(%v): first load %v, second load %v", q, a, b)
+			if a, b := est.Estimate(q), loaded.Estimate(q); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("Estimate(%v): trained %v, reloaded %v", q, a, b)
 			}
 		}
+		sameModel(t, est.Hybrid().Model(), loaded.Hybrid().Model())
 	})
 
 	t.Run("filter", func(t *testing.T) {
@@ -122,5 +134,6 @@ func TestGoldenRoundTrip(t *testing.T) {
 				t.Fatalf("Contains(%v): trained %v, reloaded %v", q, a, b)
 			}
 		}
+		sameModel(t, mf.model, loaded.model)
 	})
 }

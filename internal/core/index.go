@@ -78,11 +78,11 @@ func BuildIndex(c *sets.Collection, opts IndexOptions) (*SetIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: train index model: %w", err)
 	}
+	serveModel(m)
 	h, err := hybrid.BuildIndex(c, m, sc, res, hybrid.IndexConfig{RangeLen: opts.RangeLen})
 	if err != nil {
 		return nil, err
 	}
-	enableFastPath(m, DefaultFastPath)
 	idx := &SetIndex{hybrid: h, maxSubset: opts.MaxSubset, delta: hybrid.NewDelta()}
 	idx.nextPos.Store(int64(c.Len()))
 	return idx, nil

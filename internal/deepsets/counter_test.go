@@ -8,7 +8,7 @@ import (
 
 // TestPhiCacheCounterSemantics pins the audited hit/miss accounting of
 // PhiCache against the scalar and batched prediction paths. The contract:
-// hits+misses count *cache probes*, one per φ-vector request that reaches
+// hits+misses count *cache probes*, one per row request that reaches
 // the cache — not per element occurrence. On the PredictBatch memo path a
 // repeated element id within one batch probes the cache exactly once (the
 // per-batch memo serves the repeats), so batches cannot double-count: a

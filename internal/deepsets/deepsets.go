@@ -11,6 +11,17 @@
 // applied to the concatenated sub-embeddings *before* the sum pool — this
 // preserves the binding between an element's quotient and remainder, which
 // a plain sum would destroy (the X-vs-Z counterexample in §5).
+//
+// Inference moves ρ's first dense layer inside the pool where the pool is
+// linear. For sum pooling W₁·Σφ(x) + b₁ = Σ W₁·φ(x) + b₁, and mean pooling
+// scales the same sum by 1/k, so a prediction pools the per-element rows
+// r(x) = W₁·φ(x), adds b₁, applies the layer's activation and runs the
+// rest of ρ. The rows are a pure function of the element id, which is what
+// PhiTable and PhiCache store (phi.go). Every inference path pools the same
+// rows in the same order, so they agree bit for bit; the reordered sums
+// differ from the unfolded forward (the tape, and the training pass in
+// step.go) by about 1e-15 relative. Max pooling is not linear: it pools
+// φ(x) and runs all of ρ.
 package deepsets
 
 import (
@@ -126,6 +137,11 @@ type Model struct {
 	rho    *nn.MLP
 	params []*nn.Param
 
+	// rhoTail is the part of ρ a prediction runs on the pooled rows: all of
+	// ρ under max pooling, ρ after its first layer under sum and mean
+	// pooling (nil when ρ has no hidden layer). It shares ρ's layers.
+	rhoTail *nn.MLP
+
 	// accel is the optional φ fast path (phi.go); atomic so an accel can be
 	// attached or cleared while predictor pools are serving queries.
 	accel atomic.Pointer[accelBox]
@@ -159,6 +175,12 @@ func New(cfg Config) (*Model, error) {
 	rhoSizes := append([]int{cfg.PhiOut}, cfg.RhoHidden...)
 	rhoSizes = append(rhoSizes, 1)
 	m.rho = nn.NewMLP("rho", rhoSizes, cfg.HiddenAct, cfg.OutputAct, rng)
+	switch {
+	case !cfg.folded():
+		m.rhoTail = m.rho
+	case len(m.rho.Layers) > 1:
+		m.rhoTail = &nn.MLP{Layers: m.rho.Layers[1:]}
+	}
 
 	for _, e := range m.embeds {
 		m.params = append(m.params, e.Params()...)
@@ -166,6 +188,25 @@ func New(cfg Config) (*Model, error) {
 	m.params = append(m.params, m.phi.Params()...)
 	m.params = append(m.params, m.rho.Params()...)
 	return m, nil
+}
+
+// folded reports whether predictions pool the rows W₁·φ(x) rather than
+// φ(x): true for the linear sum and mean pooling, false for max pooling.
+func (c Config) folded() bool { return c.Pool != MaxPool }
+
+// rowWidth is the width of the per-element row a prediction pools, and
+// that PhiTable and PhiCache store: the output width of ρ's first layer
+// (RhoHidden[0], or 1 when ρ has no hidden layer) for folded models,
+// PhiOut under max pooling.
+func (c Config) rowWidth() int {
+	switch {
+	case !c.folded():
+		return c.PhiOut
+	case len(c.RhoHidden) > 0:
+		return c.RhoHidden[0]
+	default:
+		return 1
+	}
 }
 
 // Config returns the model configuration (with defaults applied).
@@ -196,16 +237,16 @@ func (m *Model) EmbeddingSizeBytes() int {
 type Predictor struct {
 	m        *Model
 	catBuf   []float64
-	pool     []float64
+	pool     []float64 // pooled rows (rowWidth)
 	phiS     *nn.InferScratch
-	rhoS     *nn.InferScratch
+	rhoS     *nn.InferScratch // scratch for m.rhoTail; nil when it is
 	partsBuf []uint32
-	phiBuf   []float64 // destination for φ-cache hits (PhiOut)
+	rowBuf   []float64 // a folded row computed here, or a φ-cache hit (rowWidth)
 
 	// Per-batch memo: within one PredictBatch call, each distinct element id
-	// runs φ (or hits the shared cache) at most once. memoIdx maps id to an
-	// offset into memoSlab; both are reset at batch start, so no eviction
-	// policy is needed.
+	// computes its row (or hits the shared cache) at most once. memoIdx maps
+	// id to an offset into memoSlab; both are reset at batch start, so no
+	// eviction policy is needed.
 	memoOn   bool
 	memoIdx  map[uint32]int32
 	memoSlab []float64
@@ -217,15 +258,19 @@ func (m *Model) NewPredictor() *Predictor {
 	if m.cfg.Compressed {
 		in *= m.cfg.NS
 	}
-	return &Predictor{
+	w := m.cfg.rowWidth()
+	p := &Predictor{
 		m:        m,
 		catBuf:   make([]float64, in),
-		pool:     make([]float64, m.cfg.PhiOut),
+		pool:     make([]float64, w),
 		phiS:     m.phi.NewInferScratch(),
-		rhoS:     m.rho.NewInferScratch(),
 		partsBuf: make([]uint32, 0, 8),
-		phiBuf:   make([]float64, m.cfg.PhiOut),
+		rowBuf:   make([]float64, w),
 	}
+	if m.rhoTail != nil {
+		p.rhoS = m.rhoTail.NewInferScratch()
+	}
+	return p
 }
 
 // phiInput validates id and prepares the φ input vector: the element's
@@ -250,39 +295,46 @@ func (p *Predictor) phiFor(id uint32) []float64 {
 	return p.m.phi.Infer(p.phiS, p.phiInput(id))
 }
 
-// phiInto computes φ for one element directly into dst (len PhiOut). The φ
-// stack runs exactly as in phiFor, so the bits match.
-func (p *Predictor) phiInto(id uint32, dst []float64) {
-	p.m.phi.InferInto(p.phiS, p.phiInput(id), dst)
+// rowFor computes one element's row from the weights: W₁·φ(x) for folded
+// models, φ(x) under max pooling. Every accel stores exactly these bits.
+// The returned slice is scratch — consume before the next call.
+func (p *Predictor) rowFor(id uint32) []float64 {
+	phi := p.phiFor(id)
+	if !p.m.cfg.folded() {
+		return phi
+	}
+	mat.MatVec(p.rowBuf, p.m.rho.Layers[0].W.Value, phi)
+	return p.rowBuf
 }
 
-// phiRow returns φ for one element through the cheapest available source:
+// rowOf returns one element's row through the cheapest available source:
 // the per-batch memo, then the installed accel (table or sharded cache),
-// then the φ MLP. The returned slice is scratch — consume before the next
-// phiRow call.
-func (p *Predictor) phiRow(accel PhiAccel, id uint32) []float64 {
-	out := p.m.cfg.PhiOut
+// then rowFor. The returned slice is scratch — consume before the next
+// rowOf call.
+func (p *Predictor) rowOf(accel PhiAccel, id uint32) []float64 {
+	w := len(p.pool)
 	if p.memoOn {
 		if off, ok := p.memoIdx[id]; ok {
-			return p.memoSlab[off : int(off)+out]
+			return p.memoSlab[off : int(off)+w]
 		}
 	}
 	var v []float64
 	if accel != nil {
-		v = accel.phiVec(p, id)
+		v = accel.row(p, id)
 	} else {
-		v = p.phiFor(id)
+		v = p.rowFor(id)
 	}
 	if p.memoOn {
 		off := len(p.memoSlab)
 		p.memoSlab = append(p.memoSlab, v...)
 		p.memoIdx[id] = int32(off)
-		return p.memoSlab[off : off+out]
+		return p.memoSlab[off : off+w]
 	}
 	return v
 }
 
-func (p *Predictor) pooled(s sets.Set) []float64 {
+// pooled pools the rows of s into p.pool.
+func (p *Predictor) pooled(s sets.Set) {
 	if len(s) == 0 {
 		panic("deepsets: empty set")
 	}
@@ -294,50 +346,87 @@ func (p *Predictor) pooled(s sets.Set) []float64 {
 		mat.Fill(p.pool, 0)
 	}
 	for _, id := range s {
-		phiOut := p.phiRow(accel, id)
+		row := p.rowOf(accel, id)
 		if m.cfg.Pool == MaxPool {
-			for i, v := range phiOut {
+			for i, v := range row {
 				if v > p.pool[i] {
 					p.pool[i] = v
 				}
 			}
 		} else {
-			mat.AddTo(p.pool, phiOut)
+			mat.AddTo(p.pool, row)
 		}
 	}
 	if m.cfg.Pool == MeanPool {
 		mat.Scale(p.pool, 1/float64(len(s)))
 	}
-	return p.pool
+}
+
+// predict pools the rows of s, runs the rest of ρ on the pool and returns
+// the output, or the output layer's pre-activation value when logit is
+// set. For folded models the pool already carries W₁, so ρ's first layer
+// adds only its bias and activation.
+func (p *Predictor) predict(s sets.Set, logit bool) float64 {
+	p.pooled(s)
+	m := p.m
+	x := p.pool
+	if m.cfg.folded() {
+		first := m.rho.Layers[0]
+		mat.AddTo(x, first.B.Vec())
+		if m.rhoTail == nil {
+			if !logit {
+				first.Act.ApplyVec(x)
+			}
+			return x[0]
+		}
+		first.Act.ApplyVec(x)
+	}
+	if logit {
+		return m.rhoTail.InferLogit(p.rhoS, x)[0]
+	}
+	return m.rhoTail.Infer(p.rhoS, x)[0]
 }
 
 // Predict returns the model output (after the output activation) for s.
-func (p *Predictor) Predict(s sets.Set) float64 {
-	return p.m.rho.Infer(p.rhoS, p.pooled(s))[0]
-}
+func (p *Predictor) Predict(s sets.Set) float64 { return p.predict(s, false) }
 
 // PredictLogit returns the pre-activation output for s.
-func (p *Predictor) PredictLogit(s sets.Set) float64 {
-	return p.m.rho.InferLogit(p.rhoS, p.pooled(s))[0]
-}
+func (p *Predictor) PredictLogit(s sets.Set) float64 { return p.predict(s, true) }
 
 // PooledVector copies the pooled φ representation of s — the model's
 // permutation-invariant set embedding, before ρ — into dst (grown as
 // needed) and returns it. Useful for clustering or comparing sets by
-// learned content similarity. Panics on an empty set or out-of-vocabulary
-// elements, like Predict.
+// learned content similarity. Under sum and mean pooling it runs φ per
+// element, since the accel and the prediction path pool the folded rows
+// W₁·φ(x) instead. Panics on an empty set or out-of-vocabulary elements,
+// like Predict.
 func (p *Predictor) PooledVector(dst []float64, s sets.Set) []float64 {
-	v := p.pooled(s)
-	if cap(dst) < len(v) {
-		dst = make([]float64, len(v))
+	m := p.m
+	out := m.cfg.PhiOut
+	if cap(dst) < out {
+		dst = make([]float64, out)
 	} else {
-		dst = dst[:len(v)]
+		dst = dst[:out]
 	}
-	copy(dst, v)
+	if !m.cfg.folded() {
+		p.pooled(s)
+		copy(dst, p.pool)
+		return dst
+	}
+	if len(s) == 0 {
+		panic("deepsets: empty set")
+	}
+	mat.Fill(dst, 0)
+	for _, id := range s {
+		mat.AddTo(dst, p.phiFor(id))
+	}
+	if m.cfg.Pool == MeanPool {
+		mat.Scale(dst, 1/float64(len(s)))
+	}
 	return dst
 }
 
-// beginBatch arms the per-batch φ memo; endBatch disarms it. The memo slab
+// beginBatch arms the per-batch row memo; endBatch disarms it. The memo slab
 // is reused across batches, the id index is cleared each time.
 func (p *Predictor) beginBatch() {
 	// A φ-table already serves every id as a zero-copy O(1) row read; the
@@ -359,8 +448,9 @@ func (p *Predictor) endBatch() { p.memoOn = false }
 
 // PredictBatch evaluates the model for every query in qs, writing outputs
 // into dst (grown if needed) and returning it. Within the batch each
-// distinct element id runs φ at most once — repeated ids across queries are
-// served from a per-batch memo — and ρ scratch is reused across queries.
+// distinct element id computes its row at most once — repeated ids across
+// queries are served from a per-batch memo — and ρ scratch is reused
+// across queries.
 func (p *Predictor) PredictBatch(dst []float64, qs []sets.Set) []float64 {
 	if cap(dst) < len(qs) {
 		dst = make([]float64, len(qs))
@@ -370,7 +460,7 @@ func (p *Predictor) PredictBatch(dst []float64, qs []sets.Set) []float64 {
 	p.beginBatch()
 	defer p.endBatch()
 	for i, q := range qs {
-		dst[i] = p.m.rho.Infer(p.rhoS, p.pooled(q))[0]
+		dst[i] = p.predict(q, false)
 	}
 	return dst
 }
@@ -407,7 +497,7 @@ func (p *PredictorPool) PredictLogit(s sets.Set) float64 {
 }
 
 // PredictBatch evaluates every query in qs with one pooled predictor,
-// amortizing scratch and φ-memo setup across the batch; safe for concurrent
+// amortizing scratch and row-memo setup across the batch; safe for concurrent
 // use.
 func (p *PredictorPool) PredictBatch(dst []float64, qs []sets.Set) []float64 {
 	pred := p.pool.Get().(*Predictor)

@@ -2,6 +2,7 @@ package deepsets
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -101,27 +102,56 @@ func TestCompressedDistinguishesRecombinedSubelements(t *testing.T) {
 	}
 }
 
+// TestPredictMatchesTapedForward checks the folded inference path against
+// the unfolded tape forward for LSM and CLSM under every pooling and with
+// ρ of zero, one and two hidden layers, with and without a φ-table.
+// Folding W₁ into the pool reorders floating-point sums, so the outputs
+// agree within 1e-12, not bit for bit. PooledVector must equal the tape's
+// unfolded pool exactly, whatever accel is installed.
 func TestPredictMatchesTapedForward(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
-		m := newTestModel(t, compressed)
-		p := m.NewPredictor()
-		rng := rand.New(rand.NewSource(9))
-		for trial := 0; trial < 20; trial++ {
-			n := 1 + rng.Intn(6)
-			ids := make([]uint32, n)
-			for i := range ids {
-				ids[i] = uint32(rng.Intn(1000))
-			}
-			s := sets.New(ids...)
-			tp := ad.NewTape()
-			want := m.Apply(tp, s).Value[0]
-			if got := p.Predict(s); math.Abs(got-want) > 1e-12 {
-				t.Fatalf("compressed=%v: Predict %v vs tape %v", compressed, got, want)
-			}
-			tp2 := ad.NewTape()
-			wantLogit := m.ApplyLogit(tp2, s).Value[0]
-			if got := p.PredictLogit(s); math.Abs(got-wantLogit) > 1e-12 {
-				t.Fatalf("compressed=%v: PredictLogit %v vs tape %v", compressed, got, wantLogit)
+		for _, pool := range []Pooling{SumPool, MeanPool, MaxPool} {
+			for _, rhoHidden := range [][]int{nil, {8}, {8, 6}} {
+				m, err := New(Config{
+					MaxID: 999, EmbedDim: 4, PhiHidden: []int{8}, PhiOut: 8,
+					RhoHidden: rhoHidden, Compressed: compressed, Pool: pool,
+					OutputAct: nn.Sigmoid, Seed: 1,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("compressed=%v/%v/rho=%v", compressed, pool, rhoHidden)
+				rng := rand.New(rand.NewSource(9))
+				qs := make([]sets.Set, 20)
+				for i := range qs {
+					ids := make([]uint32, 1+rng.Intn(6))
+					for j := range ids {
+						ids[j] = uint32(rng.Intn(1000))
+					}
+					qs[i] = sets.New(ids...)
+				}
+				for _, accel := range []PhiAccel{nil, m.BuildPhiTable()} {
+					m.SetPhiAccel(accel)
+					p := m.NewPredictor()
+					for _, s := range qs {
+						if got, want := p.Predict(s), m.Apply(ad.NewTape(), s).Value[0]; math.Abs(got-want) > 1e-12 {
+							t.Fatalf("%s: Predict(%v) %v vs tape %v", name, s, got, want)
+						}
+						if got, want := p.PredictLogit(s), m.ApplyLogit(ad.NewTape(), s).Value[0]; math.Abs(got-want) > 1e-12 {
+							t.Fatalf("%s: PredictLogit(%v) %v vs tape %v", name, s, got, want)
+						}
+						want := m.pooledNode(ad.NewTape(), s).Value
+						got := p.PooledVector(nil, s)
+						if len(got) != len(want) {
+							t.Fatalf("%s: PooledVector has %d dims, tape %d", name, len(got), len(want))
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s: PooledVector(%v)[%d] = %v, tape %v", name, s, i, got[i], want[i])
+							}
+						}
+					}
+				}
 			}
 		}
 	}

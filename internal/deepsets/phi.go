@@ -1,19 +1,21 @@
 // φ acceleration: the fused inference fast path.
 //
-// After training, φ(embed(x)) is a pure function of the element id, so the
-// DeepSets decomposition f(X) = ρ(Σ φ(embed(x))) makes per-element work
-// memoizable by construction. Two structures exploit that:
+// After training, an element's row — W₁·φ(embed(x)) under sum and mean
+// pooling, φ(embed(x)) under max pooling (see the package comment) — is a
+// pure function of the element id, so per-element work is memoizable by
+// construction. Two structures exploit that:
 //
-//   - PhiTable precomputes φ for the whole universe — (MaxID+1) × PhiOut
-//     float64s — turning a size-k query into k vector adds plus one ρ
-//     evaluation. Reads are lock-free (the table is immutable after build).
+//   - PhiTable precomputes the row for the whole universe — (MaxID+1) ×
+//     row width float64s — turning a size-k query into k vector adds plus
+//     the rest of ρ. Reads are lock-free (the table is immutable after
+//     build).
 //   - PhiCache is the fallback for universes whose table would not fit a
 //     memory budget: a lock-sharded, fixed-size cache with round-robin
-//     eviction. Hits copy the vector out under a shard read lock; misses
-//     run the φ MLP and insert.
+//     eviction. Hits copy the row out under a shard read lock; misses
+//     compute it and insert.
 //
-// Both produce bit-identical predictions to the uncached path: the vectors
-// they serve are the exact float64 outputs of the same φ kernel.
+// Both produce bit-identical predictions to the uncached path: the rows
+// they serve are the exact float64 outputs of the same kernels.
 package deepsets
 
 import (
@@ -26,11 +28,11 @@ import (
 // exports it per endpoint under /debug/vars.
 type AccelStats struct {
 	Mode    string `json:"mode"`             // "table" or "cache"
-	Hits    uint64 `json:"hits"`             // φ served without running the MLP (cache only)
-	Misses  uint64 `json:"misses"`           // φ recomputed and inserted (cache only)
-	Entries int    `json:"entries"`          // φ vectors currently materialized
+	Hits    uint64 `json:"hits"`             // rows served without running φ (cache only)
+	Misses  uint64 `json:"misses"`           // rows recomputed and inserted (cache only)
+	Entries int    `json:"entries"`          // rows currently materialized
 	Shards  int    `json:"shards,omitempty"` // lock shards (cache only)
-	Bytes   int    `json:"bytes"`            // vector storage footprint
+	Bytes   int    `json:"bytes"`            // row storage footprint
 }
 
 // PhiAccel is a φ acceleration structure pluggable into a Model via
@@ -39,10 +41,10 @@ type AccelStats struct {
 type PhiAccel interface {
 	Stats() AccelStats
 	SizeBytes() int
-	// phiVec returns φ(embed(id)). The slice is owned by the accel or the
-	// predictor's scratch: valid until the next phiVec call through p, and
-	// must not be mutated.
-	phiVec(p *Predictor, id uint32) []float64
+	// row returns id's row (Predictor.rowFor). The slice is owned by the
+	// accel or the predictor's scratch: valid until the next row call
+	// through p, and must not be mutated.
+	row(p *Predictor, id uint32) []float64
 }
 
 // accelBox wraps the interface so Model can hold it in an atomic.Pointer
@@ -50,8 +52,8 @@ type PhiAccel interface {
 type accelBox struct{ a PhiAccel }
 
 // SetPhiAccel installs a φ acceleration structure (nil removes it). The
-// structure caches φ outputs for the model's *current* weights; rebuild it
-// after any further training. Safe to call concurrently with predictions.
+// structure caches rows of the model's *current* weights; rebuild it after
+// any further training. Safe to call concurrently with predictions.
 func (m *Model) SetPhiAccel(a PhiAccel) {
 	if a == nil {
 		m.accel.Store(nil)
@@ -79,47 +81,46 @@ func (m *Model) AccelStats() (AccelStats, bool) {
 }
 
 // PhiTableBytes returns the memory a full φ-table for cfg would occupy —
-// the fit test against a configured budget. Defaults are applied first so
-// the estimate matches what New would build.
+// the fit test against a configured budget: (MaxID+1) rows of the row
+// width (RhoHidden[0], 1 when ρ has no hidden layer, or PhiOut under max
+// pooling). Defaults are applied first so the estimate matches what New
+// would build.
 func PhiTableBytes(cfg Config) int {
 	cfg.applyDefaults()
-	return (int(cfg.MaxID) + 1) * cfg.PhiOut * 8
+	return (int(cfg.MaxID) + 1) * cfg.rowWidth() * 8
 }
 
-// PhiTable holds φ(embed(id)) for every id in the universe. Immutable after
+// PhiTable holds the row of every id in the universe. Immutable after
 // BuildPhiTable, so reads need no synchronization.
 type PhiTable struct {
 	maxID uint32
-	out   int
-	data  []float64 // (maxID+1) × out, row-major by id
+	width int
+	data  []float64 // (maxID+1) × width, row-major by id
 }
 
-// BuildPhiTable precomputes φ for the whole universe [0, MaxID]. For the
+// BuildPhiTable precomputes the row of every id in [0, MaxID]. For the
 // compressed model (§5) the id is decompressed into sub-embeddings exactly
 // as the uncached path does, so the table is valid for LSM and CLSM alike.
 func (m *Model) BuildPhiTable() *PhiTable {
+	w := m.cfg.rowWidth()
 	t := &PhiTable{
 		maxID: m.cfg.MaxID,
-		out:   m.cfg.PhiOut,
-		data:  make([]float64, (int(m.cfg.MaxID)+1)*m.cfg.PhiOut),
+		width: w,
+		data:  make([]float64, (int(m.cfg.MaxID)+1)*w),
 	}
 	p := m.NewPredictor()
 	for id := 0; id <= int(m.cfg.MaxID); id++ {
-		p.phiInto(uint32(id), t.row(uint32(id)))
+		copy(t.data[id*w:], p.rowFor(uint32(id)))
 	}
 	return t
 }
 
-func (t *PhiTable) row(id uint32) []float64 {
-	return t.data[int(id)*t.out : (int(id)+1)*t.out]
-}
-
-// phiVec returns a read-only view of the precomputed row.
-func (t *PhiTable) phiVec(_ *Predictor, id uint32) []float64 {
+// row returns a read-only view of the precomputed row.
+func (t *PhiTable) row(_ *Predictor, id uint32) []float64 {
 	if id > t.maxID {
 		panic(fmt.Sprintf("deepsets: element id %d exceeds MaxID %d", id, t.maxID))
 	}
-	return t.row(id)
+	return t.data[int(id)*t.width : (int(id)+1)*t.width]
 }
 
 // SizeBytes returns the table footprint.
@@ -131,21 +132,22 @@ func (t *PhiTable) Stats() AccelStats {
 	return AccelStats{Mode: "table", Entries: int(t.maxID) + 1, Bytes: t.SizeBytes()}
 }
 
-// PhiCache is a lock-sharded, fixed-size φ memo for universes too large to
-// tabulate. Each shard owns a slab of slots recycled round-robin; the map
-// from id to slot lives beside it. Hits copy the vector into the caller's
+// PhiCache is a lock-sharded, fixed-size row memo for universes too large
+// to tabulate. Each shard owns a slab of slots recycled round-robin; the
+// map from id to slot lives beside it. Hits copy the row into the caller's
 // predictor scratch under the shard read lock (a slot may be recycled the
-// moment the lock drops), misses run the φ MLP outside any lock and insert.
+// moment the lock drops), misses compute the row outside any lock and
+// insert.
 //
 // Counter semantics (pinned by TestPhiCacheCounterSemantics): hits and
-// misses count cache *probes* — one per φ-vector request that reaches the
+// misses count cache *probes* — one per row request that reaches the
 // cache. The PredictBatch memo sits in front of the cache, so within one
 // batch each distinct element id probes at most once; repeated ids are
 // served by the memo and move no counter. Under concurrency two goroutines
-// racing on a cold id may each count a miss for one resulting entry
-// (φ runs outside the lock), so misses ≥ distinct ids inserted.
+// racing on a cold id may each count a miss for one resulting entry (the
+// row is computed outside the lock), so misses ≥ distinct ids inserted.
 type PhiCache struct {
-	out   int
+	width int
 	mask  uint32
 	shard []phiShard
 }
@@ -154,7 +156,7 @@ type phiShard struct {
 	mu   sync.RWMutex
 	idx  map[uint32]int32 // id → slot
 	ids  []uint32         // slot → id (meaningful for slot < full)
-	slab []float64        // len(ids) × out
+	slab []float64        // len(ids) × width
 	full int              // slots filled so far
 	next int              // round-robin eviction cursor once full
 
@@ -162,9 +164,10 @@ type phiShard struct {
 	misses atomic.Uint64
 }
 
-// NewPhiCache sizes a sharded φ-cache to maxBytes of vector storage spread
+// NewPhiCache sizes a sharded φ-cache to maxBytes of row storage spread
 // over the given number of lock shards (default 64, rounded up to a power
-// of two). Each shard holds at least one slot, so tiny budgets still work.
+// of two). A slot holds one row of the row width (see PhiTableBytes). Each
+// shard holds at least one slot, so tiny budgets still work.
 func (m *Model) NewPhiCache(maxBytes, shards int) *PhiCache {
 	if shards <= 0 {
 		shards = 64
@@ -174,17 +177,17 @@ func (m *Model) NewPhiCache(maxBytes, shards int) *PhiCache {
 		pow <<= 1
 	}
 	shards = pow
-	out := m.cfg.PhiOut
-	slots := maxBytes / (out * 8) / shards
+	w := m.cfg.rowWidth()
+	slots := maxBytes / (w * 8) / shards
 	if slots < 1 {
 		slots = 1
 	}
-	c := &PhiCache{out: out, mask: uint32(shards - 1), shard: make([]phiShard, shards)}
+	c := &PhiCache{width: w, mask: uint32(shards - 1), shard: make([]phiShard, shards)}
 	for i := range c.shard {
 		c.shard[i] = phiShard{
 			idx:  make(map[uint32]int32, slots),
 			ids:  make([]uint32, slots),
-			slab: make([]float64, slots*out),
+			slab: make([]float64, slots*w),
 		}
 	}
 	return c
@@ -198,18 +201,18 @@ func (c *PhiCache) shardOf(id uint32) *phiShard {
 	return &c.shard[h&c.mask]
 }
 
-func (c *PhiCache) phiVec(p *Predictor, id uint32) []float64 {
+func (c *PhiCache) row(p *Predictor, id uint32) []float64 {
 	sh := c.shardOf(id)
 	sh.mu.RLock()
 	if slot, ok := sh.idx[id]; ok {
-		copy(p.phiBuf, sh.slab[int(slot)*c.out:int(slot+1)*c.out])
+		copy(p.rowBuf, sh.slab[int(slot)*c.width:int(slot+1)*c.width])
 		sh.mu.RUnlock()
 		sh.hits.Add(1)
-		return p.phiBuf
+		return p.rowBuf
 	}
 	sh.mu.RUnlock()
 	sh.misses.Add(1)
-	v := p.phiFor(id) // validates id and runs the full φ MLP
+	v := p.rowFor(id) // validates id and runs φ (and W₁)
 	sh.mu.Lock()
 	if _, ok := sh.idx[id]; !ok {
 		var slot int
@@ -225,7 +228,7 @@ func (c *PhiCache) phiVec(p *Predictor, id uint32) []float64 {
 			delete(sh.idx, sh.ids[slot])
 		}
 		sh.ids[slot] = id
-		copy(sh.slab[slot*c.out:(slot+1)*c.out], v)
+		copy(sh.slab[slot*c.width:(slot+1)*c.width], v)
 		sh.idx[id] = int32(slot)
 	}
 	sh.mu.Unlock()

@@ -11,12 +11,13 @@ import (
 
 // phiFixtureModel builds a model for one pooling × compression combination.
 // Random weights suffice: the fast path must match the slow path bit for
-// bit regardless of training.
+// bit regardless of training. ρ's first layer (20 wide) is wider than φ's
+// output (12), so the folded rows and φ differ in width.
 func phiFixtureModel(tb testing.TB, pool Pooling, compressed bool) *Model {
 	tb.Helper()
 	m, err := New(Config{
 		MaxID: 700, EmbedDim: 6, PhiHidden: []int{12}, PhiOut: 12,
-		RhoHidden: []int{12}, Compressed: compressed, Pool: pool,
+		RhoHidden: []int{20}, Compressed: compressed, Pool: pool,
 		OutputAct: nn.Sigmoid, Seed: 23,
 	})
 	if err != nil {
@@ -41,7 +42,8 @@ func phiFixtureQueries(n, maxID int, seed int64) []sets.Set {
 // TestAccelBitIdentical is the central fast-path guarantee: with a PhiTable
 // or a sharded PhiCache installed, Predict, PredictLogit, and PredictBatch
 // return exactly the bits of the uncached path, for all three poolings,
-// compressed and uncompressed.
+// compressed and uncompressed. Under sum and mean pooling every path pools
+// the folded rows W₁·φ(x); under max pooling, φ(x).
 func TestAccelBitIdentical(t *testing.T) {
 	pools := []Pooling{SumPool, MeanPool, MaxPool}
 	for _, compressed := range []bool{false, true} {
@@ -89,7 +91,7 @@ func TestAccelBitIdentical(t *testing.T) {
 
 				// A cache far smaller than the universe forces constant
 				// eviction; results must not change.
-				m.SetPhiAccel(m.NewPhiCache(100*m.Config().PhiOut*8, 8))
+				m.SetPhiAccel(m.NewPhiCache(100*m.cfg.rowWidth()*8, 8))
 				check(t, "cache")
 
 				m.SetPhiAccel(nil)
@@ -100,19 +102,32 @@ func TestAccelBitIdentical(t *testing.T) {
 }
 
 // TestPhiTableBytes pins the fit-test arithmetic the auto-enable logic in
-// internal/core relies on.
+// internal/core relies on: one row per id, as wide as ρ's first layer
+// under sum and mean pooling (1 without a hidden ρ layer) and as wide as φ
+// under max pooling.
 func TestPhiTableBytes(t *testing.T) {
-	cfg := Config{MaxID: 99, PhiOut: 16, EmbedDim: 4}
-	if got, want := PhiTableBytes(cfg), 100*16*8; got != want {
-		t.Fatalf("PhiTableBytes = %d, want %d", got, want)
+	for _, tc := range []struct {
+		cfg  Config
+		want int
+	}{
+		{Config{MaxID: 99, PhiOut: 16, EmbedDim: 4, RhoHidden: []int{24, 8}}, 100 * 24 * 8},
+		{Config{MaxID: 99, PhiOut: 16, EmbedDim: 4, RhoHidden: []int{24}, Pool: MeanPool}, 100 * 24 * 8},
+		{Config{MaxID: 99, PhiOut: 16, EmbedDim: 4}, 100 * 1 * 8},
+		{Config{MaxID: 99, PhiOut: 16, EmbedDim: 4, RhoHidden: []int{24}, Pool: MaxPool}, 100 * 16 * 8},
+	} {
+		if got := PhiTableBytes(tc.cfg); got != tc.want {
+			t.Errorf("PhiTableBytes(%v pool, ρ %v) = %d, want %d", tc.cfg.Pool, tc.cfg.RhoHidden, got, tc.want)
+		}
+		m, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.BuildPhiTable().SizeBytes(); got != tc.want {
+			t.Errorf("%v pool, ρ %v: table SizeBytes %d, want %d", tc.cfg.Pool, tc.cfg.RhoHidden, got, tc.want)
+		}
 	}
-	m := phiFixtureModel(t, SumPool, false)
-	tab := m.BuildPhiTable()
-	if tab.SizeBytes() != PhiTableBytes(m.Config()) {
-		t.Fatalf("table SizeBytes %d != PhiTableBytes %d", tab.SizeBytes(), PhiTableBytes(m.Config()))
-	}
-	st := tab.Stats()
-	if st.Mode != "table" || st.Entries != 701 {
+	st := phiFixtureModel(t, SumPool, false).BuildPhiTable().Stats()
+	if st.Mode != "table" || st.Entries != 701 || st.Bytes != 701*20*8 {
 		t.Fatalf("table stats: %+v", st)
 	}
 }
@@ -120,9 +135,9 @@ func TestPhiTableBytes(t *testing.T) {
 // TestPhiCacheStats exercises the hit/miss counters and the eviction path.
 func TestPhiCacheStats(t *testing.T) {
 	m := phiFixtureModel(t, SumPool, false)
-	out := m.Config().PhiOut
-	// 4 shards × 2 slots: 8 vectors total, far below the 701-id universe.
-	c := m.NewPhiCache(8*out*8, 4)
+	w := m.cfg.rowWidth()
+	// 4 shards × 2 slots: 8 rows total, far below the 701-id universe.
+	c := m.NewPhiCache(8*w*8, 4)
 	m.SetPhiAccel(c)
 	p := m.NewPredictor()
 	qs := phiFixtureQueries(300, int(m.Config().MaxID), 37)
@@ -139,8 +154,8 @@ func TestPhiCacheStats(t *testing.T) {
 	if st.Entries > 8 {
 		t.Fatalf("cache grew past its budget: %d entries", st.Entries)
 	}
-	if st.Bytes != 8*out*8 {
-		t.Fatalf("cache bytes = %d, want %d", st.Bytes, 8*out*8)
+	if st.Bytes != 8*w*8 {
+		t.Fatalf("cache bytes = %d, want %d", st.Bytes, 8*w*8)
 	}
 	// Repeated single-element queries must hit.
 	q := sets.New(5)
@@ -172,9 +187,9 @@ func TestPhiCacheConcurrent(t *testing.T) {
 			for i, q := range qs {
 				truth[i] = p.Predict(q)
 			}
-			// 64 vectors of cache for a 701-id universe: most lookups miss
+			// 64 rows of cache for a 701-id universe: most lookups miss
 			// and the eviction cursor wraps continuously.
-			m.SetPhiAccel(m.NewPhiCache(64*m.Config().PhiOut*8, 16))
+			m.SetPhiAccel(m.NewPhiCache(64*m.cfg.rowWidth()*8, 16))
 			pool := m.NewPredictorPool()
 			const goroutines, perG = 64, 200
 			var wg sync.WaitGroup

@@ -11,7 +11,8 @@ import (
 
 // The tape path: the model recorded on an ad.Tape, node by node. It is
 // the oracle the Stepper's gradients must equal bit for bit, and the
-// forward the predictor's outputs are checked against.
+// unfolded forward the predictor's outputs are checked against (within
+// 1e-12: the predictor pools W₁·φ, which reorders the sums).
 
 // elementNode records the per-element pipeline (embedding, optional
 // compression and concat, φ) on the tape.
@@ -46,6 +47,12 @@ func (m *Model) ApplyLogit(t *ad.Tape, s sets.Set) *ad.Node {
 }
 
 func (m *Model) applyWith(t *ad.Tape, s sets.Set, rho func(*ad.Tape, *ad.Node) *ad.Node) *ad.Node {
+	return rho(t, m.pooledNode(t, s))
+}
+
+// pooledNode records the unfolded pool Σφ (mean or max per the config):
+// ρ's input on the tape.
+func (m *Model) pooledNode(t *ad.Tape, s sets.Set) *ad.Node {
 	if len(s) == 0 {
 		panic("deepsets: empty set")
 	}
@@ -54,16 +61,14 @@ func (m *Model) applyWith(t *ad.Tape, s sets.Set, rho func(*ad.Tape, *ad.Node) *
 	for i, id := range s {
 		parts[i] = m.elementNode(t, id, buf[:0])
 	}
-	var pooled *ad.Node
 	switch m.cfg.Pool {
 	case MeanPool:
-		pooled = t.MeanPool(parts)
+		return t.MeanPool(parts)
 	case MaxPool:
-		pooled = t.MaxPool(parts)
+		return t.MaxPool(parts)
 	default:
-		pooled = t.SumPool(parts)
+		return t.SumPool(parts)
 	}
-	return rho(t, pooled)
 }
 
 // tapeStep is Stepper.Step on the tape: record, seed, Backward into the

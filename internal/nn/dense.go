@@ -131,19 +131,6 @@ func (m *MLP) Infer(s *InferScratch, x []float64) []float64 {
 	return x
 }
 
-// InferInto runs the stack without a tape, writing the final layer's
-// output directly into dst (caller-pooled scratch of length Out()) instead
-// of the scratch's last buffer. The computation is identical to Infer, so
-// results are bit-identical — the φ-table precomputation relies on that.
-func (m *MLP) InferInto(s *InferScratch, x, dst []float64) {
-	last := len(m.Layers) - 1
-	for i, l := range m.Layers[:last] {
-		l.Infer(s.bufs[i], x)
-		x = s.bufs[i]
-	}
-	m.Layers[last].Infer(dst, x)
-}
-
 // InferLogit runs the stack without a tape, skipping the final activation.
 func (m *MLP) InferLogit(s *InferScratch, x []float64) []float64 {
 	last := len(m.Layers) - 1

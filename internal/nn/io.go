@@ -44,6 +44,17 @@ func SaveParams(w io.Writer, params []*Param) error {
 	return bw.Flush()
 }
 
+// RoundToFloat32 rounds every value of params to the float32 precision
+// SaveParams keeps, so a model computes the same outputs before a save as
+// after the load.
+func RoundToFloat32(params []*Param) {
+	for _, p := range params {
+		for i, v := range p.Value.Data {
+			p.Value.Data[i] = float64(float32(v))
+		}
+	}
+}
+
 // LoadParams reads values saved by SaveParams into params, which must have
 // the same order, names, and shapes as at save time.
 func LoadParams(r io.Reader, params []*Param) error {

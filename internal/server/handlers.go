@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"setlearn/internal/deepsets"
 	"setlearn/internal/sets"
 )
 
@@ -132,9 +133,24 @@ func (s *Server) handleMember() http.HandlerFunc {
 
 // statusResponse describes the serving state for /v1/status.
 type statusResponse struct {
-	Structures map[string]bool `json:"structures"` // endpoint name → loaded
-	Mutable    []string        `json:"mutable"`    // structures /v1/insert appends to
-	Endpoints  []string        `json:"endpoints"`
+	Structures map[string]bool       `json:"structures"` // endpoint name → loaded
+	Bytes      map[string]bytesStats `json:"bytes"`      // loaded structures only
+	Mutable    []string              `json:"mutable"`    // structures /v1/insert appends to
+	Endpoints  []string              `json:"endpoints"`
+}
+
+// bytesStats is one loaded structure's memory: SizeBytes (model weights at
+// float32, aux structures, delta) beside the resident bytes of its φ accel,
+// which SizeBytes does not count.
+type bytesStats struct {
+	Size  int `json:"size"`  // SizeBytes()
+	Accel int `json:"accel"` // PhiStats().Bytes; 0 when inference runs uncached
+}
+
+// structureBytes reads one structure's bytesStats.
+func structureBytes(size func() int, phi func() (deepsets.AccelStats, bool)) bytesStats {
+	st, _ := phi()
+	return bytesStats{Size: size(), Accel: st.Bytes}
 }
 
 func (s *Server) handleStatus() http.HandlerFunc {
@@ -143,12 +159,23 @@ func (s *Server) handleStatus() http.HandlerFunc {
 		for _, t := range s.insertTargets() {
 			mutable = append(mutable, t.name)
 		}
+		mem := map[string]bytesStats{}
+		if e := s.st.Estimator; e != nil {
+			mem["card"] = structureBytes(e.SizeBytes, e.PhiStats)
+		}
+		if x := s.st.Index; x != nil {
+			mem["index"] = structureBytes(x.SizeBytes, x.PhiStats)
+		}
+		if f := s.st.Filter; f != nil {
+			mem["member"] = structureBytes(f.SizeBytes, f.PhiStats)
+		}
 		writeJSON(w, http.StatusOK, statusResponse{
 			Structures: map[string]bool{
 				"card":   s.st.Estimator != nil,
 				"index":  s.st.Index != nil,
 				"member": s.st.Filter != nil,
 			},
+			Bytes:     mem,
 			Mutable:   mutable,
 			Endpoints: []string{"/v1/card", "/v1/index", "/v1/member", "/v1/insert", "/v1/status", "/healthz", "/debug/vars", "/debug/pprof/"},
 		})

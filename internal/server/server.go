@@ -13,7 +13,7 @@
 //	/v1/index   {"query":[ids]} → {"position":p}   | batch → {"positions":[…]}; "equal":true selects equality search
 //	/v1/member  {"query":[ids]} → {"member":b}     | batch → {"members":[…]}
 //	/v1/insert  {"set":[ids]}   → {"position":p}   | {"sets":[[ids]…]} → {"positions":[…]}; appends to every mutable structure
-//	/v1/status  GET/POST → which structures are loaded and which accept inserts
+//	/v1/status  GET/POST → which structures are loaded, their bytes and φ-accel bytes, and which accept inserts
 //	/healthz    liveness probe
 //	/debug/vars expvar counters and latency histograms per endpoint
 //	/debug/pprof/ runtime profiling

@@ -440,6 +440,42 @@ func TestStatusHealthAndDebugEndpoints(t *testing.T) {
 	}
 }
 
+// TestStatusReportsBytes pins /v1/status's "bytes" object: for each loaded
+// structure, its SizeBytes as "size" and its φ accel's resident bytes as
+// "accel". The fixture's φ-table holds one row per id as wide as ρ's first
+// layer (32), not φ's output (16).
+func TestStatusReportsBytes(t *testing.T) {
+	f, ts := fullServer(t)
+	status := func(ts *httptest.Server) map[string]map[string]int {
+		resp, err := ts.Client().Get(ts.URL + "/v1/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st struct {
+			Bytes map[string]map[string]int `json:"bytes"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Bytes
+	}
+	table := (int(f.c.MaxID()) + 1) * 32 * 8
+	want := map[string]map[string]int{
+		"card":   {"size": f.est.SizeBytes(), "accel": table},
+		"index":  {"size": f.idx.SizeBytes(), "accel": table},
+		"member": {"size": f.mf.SizeBytes(), "accel": table},
+	}
+	if got := status(ts); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("/v1/status bytes = %v, want %v", got, want)
+	}
+	delete(want, "card")
+	delete(want, "index")
+	if got := status(newTestServer(t, Structures{Filter: f.mf})); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("member-only /v1/status bytes = %v, want %v", got, want)
+	}
+}
+
 // TestRunServesAndDrains exercises the real listener path: bind :0, serve a
 // request, cancel the context mid-flight, and require a clean drain.
 func TestRunServesAndDrains(t *testing.T) {

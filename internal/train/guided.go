@@ -21,9 +21,8 @@ type GuidedConfig struct {
 
 // GuidedResult reports the outcome of guided training.
 type GuidedResult struct {
-	Kept      []dataset.Sample // samples the model remains responsible for
-	Outliers  []dataset.Sample // evicted samples, to live in the auxiliary structure
-	FinalLoss float64
+	Kept     []dataset.Sample // samples the model remains responsible for
+	Outliers []dataset.Sample // evicted samples, to live in the auxiliary structure
 }
 
 // warmup is how many of the epochs both guided procedures train on the
@@ -44,8 +43,8 @@ func Guided(m *deepsets.Model, samples []dataset.Sample, sc Scaler, cfg GuidedCo
 
 	if cfg.Percentile == 0 || cfg.Percentile == 100 {
 		// No eviction: plain training ("No Removal" in Table 5).
-		loss, err := Regression(m, samples, sc, cfg.Train)
-		return &GuidedResult{Kept: samples, FinalLoss: loss}, err
+		_, err := Regression(m, samples, sc, cfg.Train)
+		return &GuidedResult{Kept: samples}, err
 	}
 
 	warmCfg := cfg.Train
@@ -72,11 +71,9 @@ func Guided(m *deepsets.Model, samples []dataset.Sample, sc Scaler, cfg GuidedCo
 	if rest := cfg.Train.Epochs - warmCfg.Epochs; rest > 0 {
 		contCfg := cfg.Train
 		contCfg.Epochs = rest
-		loss, err := Regression(m, res.Kept, sc, contCfg)
-		if err != nil {
+		if _, err := Regression(m, res.Kept, sc, contCfg); err != nil {
 			return nil, err
 		}
-		res.FinalLoss = loss
 	}
 	return res, nil
 }
@@ -220,11 +217,9 @@ func AutoGuided(m *deepsets.Model, samples []dataset.Sample, sc Scaler, cfg Auto
 
 		roundCfg := cfg.Train
 		roundCfg.Epochs = autoEpochsPerRound
-		loss, err := Regression(m, res.Kept, sc, roundCfg)
-		if err != nil {
+		if _, err := Regression(m, res.Kept, sc, roundCfg); err != nil {
 			return nil, err
 		}
-		res.FinalLoss = loss
 	}
 	return res, nil
 }
