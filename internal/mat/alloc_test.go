@@ -5,10 +5,11 @@ import "testing"
 // sinkDot keeps the compiler from discarding Dot's result.
 var sinkDot float64
 
-// TestServingKernelsAllocFree pins every kernel on the φ/ρ inference path
-// at zero allocations. The predictors' own AllocsPerRun pins reach only
-// the kernels their configuration calls, so each kernel is pinned here.
-// The 5×7 shape exercises the unrolled loops' tails.
+// TestServingKernelsAllocFree pins every kernel on the φ/ρ inference path,
+// and the two backward kernels of the train step, at zero allocations. The
+// predictors' and the stepper's own AllocsPerRun pins reach only the
+// kernels their configuration calls, so each kernel is pinned here. The
+// 5×7 shape exercises the blocked loops' odd row and column tails.
 func TestServingKernelsAllocFree(t *testing.T) {
 	m := New(5, 7)
 	for i := range m.Data {
@@ -17,13 +18,15 @@ func TestServingKernelsAllocFree(t *testing.T) {
 	x, b, dst := make([]float64, 7), make([]float64, 5), make([]float64, 5)
 	Fill(x, 0.5)
 	Fill(b, -1)
+	gx, gw := make([]float64, 7), New(5, 7)
 	for _, k := range []struct {
 		name string
 		fn   func()
 	}{
 		{"MatVec", func() { MatVec(dst, m, x) }},
-		{"MatVecAcc", func() { MatVecAcc(dst, m, x) }},
 		{"MatVecAdd", func() { MatVecAdd(dst, m, x, b) }},
+		{"MatTVecAcc", func() { MatTVecAcc(gx, m, b) }},
+		{"OuterAcc", func() { OuterAcc(gw, b, x) }},
 		{"Dot", func() { sinkDot = Dot(x, x) }},
 		{"Scale", func() { Scale(dst, 0.5) }},
 		{"AddTo", func() { AddTo(dst, b) }},

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -178,21 +179,6 @@ func TestUnrolledKernelTails(t *testing.T) {
 	}
 }
 
-func TestMatVecAcc(t *testing.T) {
-	m := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	dst := []float64{10, 20}
-	MatVecAcc(dst, m, []float64{1, 1})
-	if dst[0] != 13 || dst[1] != 27 {
-		t.Fatalf("MatVecAcc got %v", dst)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for dst length mismatch")
-		}
-	}()
-	MatVecAcc([]float64{0}, m, []float64{1, 1})
-}
-
 // Property: MatVec then MatTVecAcc agree with the naive double loop.
 func TestMatVecMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -254,17 +240,44 @@ func TestAdjointIdentity(t *testing.T) {
 	}
 }
 
-func BenchmarkMatVec64x64(b *testing.B) {
-	m := New(64, 64)
-	x := make([]float64, 64)
-	dst := make([]float64, 64)
-	for i := range m.Data {
-		m.Data[i] = 0.1
+// benchShapes are dense-layer shapes the trainers run: the benchmark
+// harness's CLSM model (φ and ρ 32 wide, φ input 16) and a √8-scaled shard
+// model (11 wide, φ input 8), whose odd row count and short rows reach the
+// kernels' tails.
+var benchShapes = []struct{ rows, cols int }{{32, 32}, {32, 16}, {11, 8}}
+
+// benchKernel times kernel at every benchShapes entry. x has m.Cols
+// entries, g m.Rows, and dst is shaped like m; the kernel may overwrite or
+// accumulate into any of them.
+func benchKernel(b *testing.B, kernel func(m, dst *Matrix, x, g []float64)) {
+	for _, sh := range benchShapes {
+		b.Run(fmt.Sprintf("%dx%d", sh.rows, sh.cols), func(b *testing.B) {
+			m, dst := New(sh.rows, sh.cols), New(sh.rows, sh.cols)
+			for i := range m.Data {
+				m.Data[i] = float64(i%7) - 3
+			}
+			x, g := make([]float64, sh.cols), make([]float64, sh.rows)
+			Fill(x, 0.5)
+			Fill(g, 0.25)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kernel(m, dst, x, g)
+			}
+		})
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MatVec(dst, m, x)
-	}
+}
+
+func BenchmarkMatVec(b *testing.B) {
+	benchKernel(b, func(m, _ *Matrix, x, g []float64) { MatVec(g, m, x) })
+}
+
+func BenchmarkMatTVecAcc(b *testing.B) {
+	benchKernel(b, func(m, _ *Matrix, x, g []float64) { MatTVecAcc(x, m, g) })
+}
+
+func BenchmarkOuterAcc(b *testing.B) {
+	benchKernel(b, func(_, dst *Matrix, x, g []float64) { OuterAcc(dst, g, x) })
 }
 
 func TestApproxEqual(t *testing.T) {

@@ -22,8 +22,10 @@ import (
 // operation; the guided and autoguided ones pin the default warm-up and
 // eviction schedule, and were recorded before the predictor pooled ρ's
 // first layer inside the sum, so they also pin that the eviction, which
-// predicts through that path, did not move. Every digest must match
-// exactly.
+// predicts through that path, did not move. The "odd" entries train
+// EmbedDim 3 with widths 11, so every mat kernel runs its odd-row and
+// column-tail branches; they were recorded with the one-row-per-pass
+// kernels that preceded the blocked ones. Every digest must match exactly.
 var trainedWeightsGolden = map[string]string{
 	"mae/lsm/w1":         "acfb677601b37a4b0123e05b1940cc6e680a456d40b2884042e2ba71fbc65782",
 	"mae/lsm/w2":         "d13599f2b5150ebcc1cb62ae22ca023a3ef064d9944dd4582cd756a26002a9c4",
@@ -49,6 +51,14 @@ var trainedWeightsGolden = map[string]string{
 	"autoguided/clsm/w1": "7080974a107128014d479f78097c3b94141af5e4e3771c9eaf884867fe69bf76",
 	"autoguided/clsm/w2": "c5c23c13354135dcdedcded1fe44b68010f0369126a614754aae04e6c368dae3",
 	"autoguided/clsm/w3": "4b0a5736445a8ca4ceda596b2f9c6ec451efc8fe657994c7715cc6000743b3d5",
+	"mae/lsm/odd/w1":     "33eea54733e46f8c5e737a195b8a4d5f84bf1266f8b3c9b453b195b5dc67ca47",
+	"mae/lsm/odd/w2":     "eda8d6f351d4d733dc36bf4e5298547119f97397daec4b08b7dee4676cf348a0",
+	"mae/clsm/odd/w1":    "9d18cec96f809145dd688b3bf3cb600e70eef87c7650ba118a25df2892fc8bac",
+	"mae/clsm/odd/w2":    "f1575ed1c85db8b4f68db38d73f2070b4f5cad3edc2af123af492798771902ac",
+	"bce/lsm/odd/w1":     "cf276c18415004a4e440e5e55bd205e67c06a10c635c10173c6547cfe210a416",
+	"bce/lsm/odd/w2":     "d9ff76421b56fcf8a00a40f176a8f5b104a692eaad59dfc816eae6b3371e2a68",
+	"bce/clsm/odd/w1":    "6e926e8eea0d8652b975ee0f0fb2d7aa5f1747e7279495c0b24b5281f3bd55f4",
+	"bce/clsm/odd/w2":    "1608ba46cd148d884e03b92c421cf05f431ccdb9d5aa1998f906b99359a53001",
 }
 
 // weightDigest hashes every parameter's float64 bits in Params order,
@@ -84,10 +94,16 @@ func TestTrainedWeightsGolden(t *testing.T) {
 	md := st.MembershipSamples(c, 2, 1.0, 3)
 	md.Positive, md.Negative = md.Positive[:100], md.Negative[:61]
 
-	newModel := func(compressed bool) *deepsets.Model {
+	type shape struct {
+		suffix       string // name part after the variant
+		embed, width int
+		workers      int // trains with 1..workers
+	}
+	shapes := []shape{{"", 4, 8, 3}, {"/odd", 3, 11, 2}}
+	newModel := func(compressed bool, sh shape) *deepsets.Model {
 		m, err := deepsets.New(deepsets.Config{
-			MaxID: c.MaxID(), EmbedDim: 4, PhiHidden: []int{8}, PhiOut: 8,
-			RhoHidden: []int{8}, Compressed: compressed, OutputAct: nn.Sigmoid, Seed: 7,
+			MaxID: c.MaxID(), EmbedDim: sh.embed, PhiHidden: []int{sh.width}, PhiOut: sh.width,
+			RhoHidden: []int{sh.width}, Compressed: compressed, OutputAct: nn.Sigmoid, Seed: 7,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -96,17 +112,18 @@ func TestTrainedWeightsGolden(t *testing.T) {
 	}
 	tasks := []struct {
 		name string
+		odd  bool // also trains at the odd shape
 		run  func(m *deepsets.Model, cfg Config) ([]float64, error)
 	}{
-		{"mae", func(m *deepsets.Model, cfg Config) ([]float64, error) {
+		{"mae", true, func(m *deepsets.Model, cfg Config) ([]float64, error) {
 			loss, err := Regression(m, samples, sc, cfg)
 			return []float64{loss}, err
 		}},
-		{"bce", func(m *deepsets.Model, cfg Config) ([]float64, error) {
+		{"bce", true, func(m *deepsets.Model, cfg Config) ([]float64, error) {
 			loss, err := Classification(m, md, cfg)
 			return []float64{loss}, err
 		}},
-		{"guided", func(m *deepsets.Model, cfg Config) ([]float64, error) {
+		{"guided", false, func(m *deepsets.Model, cfg Config) ([]float64, error) {
 			cfg.Epochs = 3
 			res, err := Guided(m, samples, sc, GuidedConfig{Train: cfg, Percentile: 90})
 			if err != nil {
@@ -114,7 +131,7 @@ func TestTrainedWeightsGolden(t *testing.T) {
 			}
 			return []float64{float64(len(res.Outliers))}, nil
 		}},
-		{"autoguided", func(m *deepsets.Model, cfg Config) ([]float64, error) {
+		{"autoguided", false, func(m *deepsets.Model, cfg Config) ([]float64, error) {
 			res, err := AutoGuided(m, samples, sc, AutoGuidedConfig{Train: cfg, TargetQError: 1.05})
 			if err != nil {
 				return nil, err
@@ -123,20 +140,25 @@ func TestTrainedWeightsGolden(t *testing.T) {
 		}},
 	}
 	for _, task := range tasks {
-		for _, compressed := range []bool{false, true} {
-			for workers := 1; workers <= 3; workers++ {
-				variant := "lsm"
-				if compressed {
-					variant = "clsm"
-				}
-				name := fmt.Sprintf("%s/%s/w%d", task.name, variant, workers)
-				m := newModel(compressed)
-				extra, err := task.run(m, Config{Epochs: 2, LR: 0.01, BatchSize: 16, Workers: workers, Seed: 5})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if got, want := weightDigest(m, extra...), trainedWeightsGolden[name]; got != want {
-					t.Errorf("%s: weight digest\n got %s\nwant %s", name, got, want)
+		for _, sh := range shapes {
+			if sh.suffix != "" && !task.odd {
+				continue
+			}
+			for _, compressed := range []bool{false, true} {
+				for workers := 1; workers <= sh.workers; workers++ {
+					variant := "lsm"
+					if compressed {
+						variant = "clsm"
+					}
+					name := fmt.Sprintf("%s/%s%s/w%d", task.name, variant, sh.suffix, workers)
+					m := newModel(compressed, sh)
+					extra, err := task.run(m, Config{Epochs: 2, LR: 0.01, BatchSize: 16, Workers: workers, Seed: 5})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if got, want := weightDigest(m, extra...), trainedWeightsGolden[name]; got != want {
+						t.Errorf("%s: weight digest\n got %s\nwant %s", name, got, want)
+					}
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 
 	"setlearn/internal/dataset"
 	"setlearn/internal/deepsets"
+	"setlearn/internal/sets"
 )
 
 // GuidedConfig controls the guided-learning procedure of §6: the model
@@ -81,22 +82,38 @@ func Guided(m *deepsets.Model, samples []dataset.Sample, sc Scaler, cfg GuidedCo
 // AbsErrors returns |estimate − target| in raw (unscaled) space for every
 // sample — the eviction criterion and the error-bound input of Algorithm 2.
 func AbsErrors(m *deepsets.Model, samples []dataset.Sample, sc Scaler) []float64 {
-	p := m.NewPredictor()
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		est := sc.Unscale(p.Predict(s.Set))
-		out[i] = math.Abs(est - s.Target)
-	}
-	return out
+	return sampleErrors(m, samples, sc, func(est, target float64) float64 { return math.Abs(est - target) })
 }
 
 // QErrors returns the per-sample q-error metric in raw space.
 func QErrors(m *deepsets.Model, samples []dataset.Sample, sc Scaler) []float64 {
+	return sampleErrors(m, samples, sc, qError)
+}
+
+// evalChunk is how many samples sampleErrors predicts per PredictBatch
+// call. The batch's row memo computes each distinct element id's row once
+// per chunk, and holds at most the chunk's distinct ids, whatever the
+// vocabulary.
+const evalChunk = 4096
+
+// sampleErrors predicts every sample in chunks of evalChunk and returns
+// errf(estimate, target) for each, the estimate unscaled to raw space.
+// PredictBatch returns the same bits as one Predict per sample.
+func sampleErrors(m *deepsets.Model, samples []dataset.Sample, sc Scaler, errf func(est, target float64) float64) []float64 {
 	p := m.NewPredictor()
 	out := make([]float64, len(samples))
-	for i, s := range samples {
-		est := sc.Unscale(p.Predict(s.Set))
-		out[i] = qError(est, s.Target)
+	qs := make([]sets.Set, 0, min(len(samples), evalChunk))
+	var est []float64
+	for start := 0; start < len(samples); start += evalChunk {
+		chunk := samples[start:min(start+evalChunk, len(samples))]
+		qs = qs[:0]
+		for _, s := range chunk {
+			qs = append(qs, s.Set)
+		}
+		est = p.PredictBatch(est, qs)
+		for i, s := range chunk {
+			out[start+i] = errf(sc.Unscale(est[i]), s.Target)
+		}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -259,19 +260,31 @@ func TestGuidedRejectsBadPercentile(t *testing.T) {
 	}
 }
 
+// TestAbsErrorsAndQErrors: the chunked batch evaluation returns, bit for
+// bit, what one Predict per sample gives, over more samples than one chunk
+// so the memo is rebuilt between chunks.
 func TestAbsErrorsAndQErrors(t *testing.T) {
 	c, st := smallCollection()
-	samples := st.CardinalitySamples()[:50]
+	base := st.CardinalitySamples()
+	samples := make([]dataset.Sample, evalChunk+37)
+	for i := range samples {
+		samples[i] = base[i%len(base)]
+	}
 	sc := FitScaler(samples)
 	m := newModel(t, c.MaxID(), false)
 	abs := AbsErrors(m, samples, sc)
 	qes := QErrors(m, samples, sc)
-	if len(abs) != 50 || len(qes) != 50 {
+	if len(abs) != len(samples) || len(qes) != len(samples) {
 		t.Fatal("length mismatch")
 	}
-	for i := range abs {
-		if abs[i] < 0 || math.IsNaN(abs[i]) {
-			t.Fatalf("bad abs error %v", abs[i])
+	p := m.NewPredictor()
+	for i, s := range samples {
+		est := sc.Unscale(p.Predict(s.Set))
+		if want := math.Abs(est - s.Target); math.Float64bits(abs[i]) != math.Float64bits(want) {
+			t.Fatalf("sample %d: abs error %v, per-sample Predict gives %v", i, abs[i], want)
+		}
+		if want := qError(est, s.Target); math.Float64bits(qes[i]) != math.Float64bits(want) {
+			t.Fatalf("sample %d: q-error %v, per-sample Predict gives %v", i, qes[i], want)
 		}
 		if qes[i] < 1 || math.IsNaN(qes[i]) {
 			t.Fatalf("q-error below 1: %v", qes[i])
@@ -493,24 +506,29 @@ func TestWideModelTrainsWithWorkers(t *testing.T) {
 
 // BenchmarkTrainEpoch times one cardinality-training epoch at the model
 // configuration the benchmark harness builds: CLSM with embedding 8, φ and
-// ρ 32 wide, 2 workers, over the subsets (≤3) of 1,000 RW sets.
+// ρ 32 wide, over the subsets (≤3) of 1,000 RW sets, with one worker and
+// with the harness's two.
 func BenchmarkTrainEpoch(b *testing.B) {
 	c := dataset.GenerateRW(1000, 1500, 42)
 	samples := dataset.CollectSubsets(c, 3).CardinalitySamples()
 	sc := FitScaler(samples)
-	m, err := deepsets.New(deepsets.Config{
-		MaxID: c.MaxID(), EmbedDim: 8, PhiHidden: []int{32}, PhiOut: 32,
-		RhoHidden: []int{32}, Compressed: true, OutputAct: nn.Sigmoid, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			m, err := deepsets.New(deepsets.Config{
+				MaxID: c.MaxID(), EmbedDim: 8, PhiHidden: []int{32}, PhiOut: 32,
+				RhoHidden: []int{32}, Compressed: true, OutputAct: nn.Sigmoid, Seed: 1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Regression(m, samples, sc, Config{Epochs: 1, Workers: workers, Seed: int64(i)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(samples)), "samples/epoch")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Regression(m, samples, sc, Config{Epochs: 1, Workers: 2, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(samples)), "samples/epoch")
 }
