@@ -81,12 +81,23 @@ const inferencePasses = 5
 func usPerQuery(reps, n int, round func()) float64 {
 	var us [inferencePasses]float64
 	for i := range us {
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			round()
-		}
-		us[i] = time.Since(start).Seconds() * 1e6 / float64(reps*n)
+		us[i] = passUS(reps, n, round)
 	}
+	return medianPass(us)
+}
+
+// passUS times one pass of reps rounds over n queries and returns its µs
+// per query.
+func passUS(reps, n int, round func()) float64 {
+	start := time.Now()
+	for r := 0; r < reps; r++ {
+		round()
+	}
+	return time.Since(start).Seconds() * 1e6 / float64(reps*n)
+}
+
+// medianPass returns the median of the passes' µs per query.
+func medianPass(us [inferencePasses]float64) float64 {
 	sort.Float64s(us[:])
 	return us[inferencePasses/2]
 }

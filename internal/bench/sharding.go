@@ -74,22 +74,28 @@ func shardingErr(est core.CardinalityQuerier, st *dataset.SubsetStats) float64 {
 }
 
 // shardingErrAndLatency measures mean |estimate − truth| over the trained
-// workload plus per-query latency of the single and batched paths.
+// workload plus per-query latency of the single and batched paths: the
+// median of inferencePasses passes each, single pass i timed right before
+// batched pass i, so host load that shifts during the measurement lands on
+// both sides of the batch/single ratio alike.
 func shardingErrAndLatency(est core.CardinalityQuerier, st *dataset.SubsetStats) (meanErr, singleUS, batchUS float64) {
 	qs, _ := shardingWorkload(st)
 	meanErr = shardingErr(est, st)
 
 	reps := inferenceReps(len(qs))
-	singleUS = usPerQuery(reps, len(qs), func() {
-		for _, q := range qs {
-			est.Estimate(q)
-		}
-	})
 	dst := make([]float64, len(qs))
-	batchUS = usPerQuery(reps, len(qs), func() {
-		est.EstimateBatch(dst, qs)
-	})
-	return meanErr, singleUS, batchUS
+	var single, batch [inferencePasses]float64
+	for i := range single {
+		single[i] = passUS(reps, len(qs), func() {
+			for _, q := range qs {
+				est.Estimate(q)
+			}
+		})
+		batch[i] = passUS(reps, len(qs), func() {
+			est.EstimateBatch(dst, qs)
+		})
+	}
+	return meanErr, medianPass(single), medianPass(batch)
 }
 
 // RunSharding measures the partitioned cardinality container (internal/shard)

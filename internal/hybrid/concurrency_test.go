@@ -11,7 +11,9 @@ import (
 // Concurrency battery for the hybrid structures: 64 goroutines of queries
 // interleaved with writers driving InsertOutlier. Queries for stable keys
 // must keep returning the single-threaded ground truth while the auxiliary
-// structures grow — the guard the serving layer depends on. Run with -race.
+// structures grow — the guard the serving layer depends on. Every tenth
+// read is a whole batch, which reads the aux under one read lock. Run with
+// -race.
 
 const (
 	stressGoroutines = 64
@@ -70,6 +72,16 @@ func TestIndexParallelLookupWithInserts(t *testing.T) {
 						continue
 					}
 				}
+				if i%10 == 9 {
+					got := idx.LookupBatch(nil, queries, false)
+					for k := range queries {
+						if got[k] != truth[k] {
+							t.Errorf("LookupBatch[%d] (%v) = %d under writes, serial %d", k, queries[k], got[k], truth[k])
+							return
+						}
+					}
+					continue
+				}
 				k := (g*37 + i) % len(queries)
 				if got := idx.Lookup(queries[k]); got != truth[k] {
 					t.Errorf("Lookup(%v) = %d under writes, serial %d", queries[k], got, truth[k])
@@ -117,6 +129,16 @@ func TestEstimatorParallelEstimateWithInserts(t *testing.T) {
 					if got := est.Estimate(s); got != card {
 						t.Errorf("aux Estimate(%v) = %v after insert, want %v", s, got, card)
 						return
+					}
+					continue
+				}
+				if i%10 == 9 {
+					got := est.EstimateBatch(nil, queries)
+					for k := range queries {
+						if got[k] != truth[k] {
+							t.Errorf("EstimateBatch[%d] (%v) = %v under writes, serial %v", k, queries[k], got[k], truth[k])
+							return
+						}
 					}
 					continue
 				}

@@ -175,21 +175,21 @@ func (idx *Index) clampPos(unscaled float64) int {
 	return est
 }
 
-// auxGet reads the auxiliary structure under the read lock. The returned
-// slice is shared with the tree and must not be mutated by callers.
-func (idx *Index) auxGet(key uint64) ([]uint32, bool) {
+// auxAnswer consults the auxiliary structure under its read lock; see
+// auxAnswerLocked.
+func (idx *Index) auxAnswer(q sets.Set, equal bool) (pos int, done bool) {
 	idx.auxMu.RLock()
-	vals, ok := idx.aux.Get(key)
+	pos, done = idx.auxAnswerLocked(q, equal)
 	idx.auxMu.RUnlock()
-	return vals, ok
+	return pos, done
 }
 
-// auxAnswer consults the auxiliary structure and verifies candidates
+// auxAnswerLocked consults the auxiliary structure and verifies candidates
 // against the collection: distinct sets could collide on the 64-bit hash,
 // and the paper's aux stores exact first positions. done is false when the
-// model path must decide.
-func (idx *Index) auxAnswer(q sets.Set, equal bool) (pos int, done bool) {
-	vals, ok := idx.auxGet(q.Hash())
+// model path must decide. The caller holds auxMu for reading.
+func (idx *Index) auxAnswerLocked(q sets.Set, equal bool) (pos int, done bool) {
+	vals, ok := idx.aux.Get(q.Hash())
 	if !ok {
 		return 0, false
 	}
@@ -271,8 +271,9 @@ func (idx *Index) Lookup(q sets.Set) int {
 
 // LookupBatch resolves every query in qs, writing the first matching
 // position (or -1) into dst, which is grown as needed and returned. equal
-// selects the §4.1 equality search. All model predictions for the batch run
-// through one pooled predictor via PredictBatch, so repeated element ids are
+// selects the §4.1 equality search. The auxiliary structure is read under
+// one read lock for the whole batch, and all model predictions run through
+// one pooled predictor via PredictBatch, so repeated element ids are
 // memoized and ρ scratch is shared; answers are identical to per-query
 // Lookup/LookupEqual.
 func (idx *Index) LookupBatch(dst []int, qs []sets.Set, equal bool) []int {
@@ -283,12 +284,13 @@ func (idx *Index) LookupBatch(dst []int, qs []sets.Set, equal bool) []int {
 	}
 	need := make([]sets.Set, 0, len(qs))
 	needAt := make([]int, 0, len(qs))
+	idx.auxMu.RLock()
 	for i, q := range qs {
 		if len(q) == 0 {
 			dst[i] = -1
 			continue
 		}
-		if pos, done := idx.auxAnswer(q, equal); done {
+		if pos, done := idx.auxAnswerLocked(q, equal); done {
 			dst[i] = pos
 			continue
 		}
@@ -299,6 +301,7 @@ func (idx *Index) LookupBatch(dst []int, qs []sets.Set, equal bool) []int {
 		need = append(need, q)
 		needAt = append(needAt, i)
 	}
+	idx.auxMu.RUnlock()
 	if len(need) == 0 {
 		return dst
 	}
@@ -447,8 +450,9 @@ func (e *Estimator) Estimate(q sets.Set) float64 {
 	if len(q) == 0 {
 		return 0
 	}
+	var kb [keyBufLen]byte
 	e.auxMu.RLock()
-	card, ok := e.aux[q.Key()]
+	card, ok := e.aux[string(q.AppendKey(kb[:0]))]
 	e.auxMu.RUnlock()
 	if ok {
 		return card
@@ -469,9 +473,10 @@ func (e *Estimator) finish(raw float64) float64 {
 }
 
 // EstimateBatch answers every query in qs, writing estimates into dst
-// (grown as needed) and returning it. Queries not short-circuited by the
-// auxiliary map run through one pooled predictor via PredictBatch; answers
-// are identical to per-query Estimate.
+// (grown as needed) and returning it. The auxiliary map is read under one
+// read lock for the whole batch; queries it does not short-circuit run
+// through one pooled predictor via PredictBatch. Answers are identical to
+// per-query Estimate.
 func (e *Estimator) EstimateBatch(dst []float64, qs []sets.Set) []float64 {
 	if cap(dst) < len(qs) {
 		dst = make([]float64, len(qs))
@@ -480,15 +485,14 @@ func (e *Estimator) EstimateBatch(dst []float64, qs []sets.Set) []float64 {
 	}
 	need := make([]sets.Set, 0, len(qs))
 	needAt := make([]int, 0, len(qs))
+	var kb [keyBufLen]byte
+	e.auxMu.RLock()
 	for i, q := range qs {
 		if len(q) == 0 {
 			dst[i] = 0
 			continue
 		}
-		e.auxMu.RLock()
-		card, ok := e.aux[q.Key()]
-		e.auxMu.RUnlock()
-		if ok {
+		if card, ok := e.aux[string(q.AppendKey(kb[:0]))]; ok {
 			dst[i] = card
 			continue
 		}
@@ -499,6 +503,7 @@ func (e *Estimator) EstimateBatch(dst []float64, qs []sets.Set) []float64 {
 		need = append(need, q)
 		needAt = append(needAt, i)
 	}
+	e.auxMu.RUnlock()
 	if len(need) == 0 {
 		return dst
 	}
@@ -538,6 +543,11 @@ func (e *Estimator) SizeBytes() int {
 	}
 	return total
 }
+
+// keyBufLen sizes the stack buffer an aux-map read builds its key in: 64
+// bytes hold the key of any set of up to 12 ids, and a longer key grows
+// onto the heap.
+const keyBufLen = 64
 
 // mapEntryOverhead approximates Go's per-entry map cost (bucket slot, key
 // header, padding).

@@ -466,6 +466,21 @@ func TestIndexScanAllocFree(t *testing.T) {
 	}
 }
 
+// TestEstimatorAuxHitAllocFree pins an Estimate answered by the aux map at
+// zero allocations: the map key is built on the stack.
+func TestEstimatorAuxHitAllocFree(t *testing.T) {
+	f := newFixture(t)
+	est := BuildEstimator(f.model, f.scaler, f.guided)
+	q := sets.New(3, 200, 1<<28)
+	est.InsertOutlier(q, 7)
+	if got := est.Estimate(q); got != 7 {
+		t.Fatalf("Estimate(%v) = %g, want the aux value 7", q, got)
+	}
+	if n := testing.AllocsPerRun(100, func() { est.Estimate(q) }); n != 0 {
+		t.Errorf("Estimate with an aux hit allocates %v per call", n)
+	}
+}
+
 // windowScanFixture is the collection and query pool of the setlearnbench
 // workloads, with an Index that holds only the collection and its
 // signatures: the scan needs no model.

@@ -95,17 +95,23 @@ func (s Set) Clone() Set {
 // Key returns a canonical byte-string key for s, usable as a map key. Two
 // sets are equal iff their keys are equal.
 func (s Set) Key() string {
-	buf := make([]byte, 0, 5*len(s))
+	return string(s.AppendKey(make([]byte, 0, 5*len(s))))
+}
+
+// AppendKey appends s's Key bytes to dst and returns the extended slice.
+// Map reads written as m[string(s.AppendKey(buf[:0]))] do not allocate:
+// Go converts the bytes to a string key without copying them.
+func (s Set) AppendKey(dst []byte) []byte {
 	for _, v := range s {
 		// Varint encoding keeps keys short for the small ids that dominate
 		// Zipf-distributed data.
 		for v >= 0x80 {
-			buf = append(buf, byte(v)|0x80)
+			dst = append(dst, byte(v)|0x80)
 			v >>= 7
 		}
-		buf = append(buf, byte(v))
+		dst = append(dst, byte(v))
 	}
-	return string(buf)
+	return dst
 }
 
 // FromKey decodes a key produced by Key back into the canonical Set. It

@@ -2,6 +2,7 @@ package sets
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"sort"
 	"strings"
@@ -371,6 +372,43 @@ func TestAppend(t *testing.T) {
 	}
 	if pos := c.Append(New(2)); pos != 1 {
 		t.Fatalf("Append pos %d", pos)
+	}
+}
+
+// TestAppendKeyMatchesKey pins AppendKey to Key byte for byte, and both to
+// encoding/binary's uvarint encoding of the ids, on random sets whose ids
+// span every varint length, 2^28 and above (five bytes) included. AppendKey
+// must extend dst, not overwrite it.
+func TestAppendKeyMatchesKey(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	prefix := []byte("dst")
+	cases := []Set{New(), New(1<<28-1, 1<<28, 0xFFFFFFFF)}
+	for i := 0; i < 500; i++ {
+		ids := make([]uint32, 1+r.Intn(8))
+		for j := range ids {
+			ids[j] = r.Uint32() >> r.Intn(32)
+		}
+		cases = append(cases, New(ids...))
+	}
+	fiveByte := 0
+	for _, s := range cases {
+		var want []byte
+		for _, v := range s {
+			want = binary.AppendUvarint(want, uint64(v))
+			if v >= 1<<28 {
+				fiveByte++
+			}
+		}
+		got := s.AppendKey(append([]byte(nil), prefix...))
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("AppendKey(%q, %v) = %x, want %q + %x", prefix, s, got, prefix, want)
+		}
+		if k := s.Key(); k != string(want) {
+			t.Fatalf("Key(%v) = %x, want %x", s, k, want)
+		}
+	}
+	if fiveByte < 50 {
+		t.Fatalf("only %d ids of 2^28 or above; the five-byte varint is barely exercised", fiveByte)
 	}
 }
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -150,13 +151,15 @@ func TestShardedConcurrentFilter(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShardedPanicContainment injects a panic into one shard's dispatch
-// path and requires (a) the container query panics — the failure is not
-// silently swallowed; (b) in the batch fan-out, every other shard still
-// runs to completion; and (c) once the injection is removed, all shards
-// answer exactly as before — the panicking shard's pooled predictors were
+// TestShardedPanicContainment injects panics into two shards' dispatch
+// paths, shard 3's and then shard 1's, with distinct values, and requires
+// for the batch path of each container that (a) the query panics with
+// shard 1's value, the lowest-numbered shard's, so the failure is neither
+// swallowed nor nondeterministic; (b) every other shard still ran the whole
+// batch; and (c) once the injection is removed, the container answers
+// exactly as before — the panicking shards' pooled predictors were
 // returned by their deferred Puts (the poolpair invariant), so nothing is
-// poisoned.
+// poisoned. The estimator's single-query path must panic too.
 func TestShardedPanicContainment(t *testing.T) {
 	_, st := testCollection(t)
 	keys := sampleKeys(st, 9)
@@ -166,85 +169,80 @@ func TestShardedPanicContainment(t *testing.T) {
 	}
 
 	se := shardedEstimator(t, 4, HashBySet)
-	defer func() { se.hook = nil }()
-	truth := make([]float64, len(qs))
+	estTruth := make([]float64, len(qs))
 	for i, q := range qs {
-		truth[i] = se.Estimate(q)
+		estTruth[i] = se.Estimate(q)
 	}
-	before := make([]uint64, 4)
-	for s := range before {
-		before[s] = se.queries[s].Load()
-	}
-
-	se.hook = func(s int) {
-		if s == 1 {
-			panic("injected shard panic")
-		}
-	}
+	se.hook = panicAt(3, 1)
 	mustPanic(t, "single-query fan-out", func() { se.Estimate(qs[0]) })
-	mustPanic(t, "batch fan-out", func() { se.EstimateBatch(nil, qs) })
-
-	// The batch fan-out must have dispatched the whole batch to every
-	// non-panicking shard even while shard 1 was down.
-	for s := 0; s < 4; s++ {
-		if s == 1 {
-			continue
-		}
-		if got := se.queries[s].Load(); got < before[s]+uint64(len(qs)) {
-			t.Fatalf("shard %d only reached %d queries (started at %d): fan-out did not complete",
-				s, got, before[s])
-		}
-	}
-
 	se.hook = nil
-	for i, q := range qs {
-		if got := se.Estimate(q); got != truth[i] {
-			t.Fatalf("after panic: Estimate(%v) = %g, want %g — shard state poisoned", q, got, truth[i])
-		}
-	}
+	containBatch(t, "estimator batch fan-out", &se.container, len(qs), func() { se.EstimateBatch(nil, qs) })
 	batch := se.EstimateBatch(nil, qs)
-	for i := range qs {
-		if batch[i] != truth[i] {
-			t.Fatalf("after panic: EstimateBatch[%d] = %g, want %g", i, batch[i], truth[i])
+	for i, q := range qs {
+		if got := se.Estimate(q); got != estTruth[i] || batch[i] != estTruth[i] {
+			t.Fatalf("after panic: Estimate(%v) = %g, EstimateBatch %g, want %g — shard state poisoned", q, got, batch[i], estTruth[i])
 		}
 	}
 
-	// Same discipline on the index and filter containers.
 	sx := shardedIndex(t, 4, HashBySet)
-	defer func() { sx.hook = nil }()
 	idxTruth := make([]int, len(qs))
 	for i, q := range qs {
 		idxTruth[i] = sx.Lookup(q)
 	}
-	sx.hook = func(s int) {
-		if s == 2 {
-			panic("injected shard panic")
-		}
-	}
-	mustPanic(t, "index batch fan-out", func() { sx.LookupBatch(nil, qs, false) })
-	sx.hook = nil
+	containBatch(t, "index batch fan-out", &sx.container, len(qs), func() { sx.LookupBatch(nil, qs, false) })
+	pos := sx.LookupBatch(nil, qs, false)
 	for i, q := range qs {
-		if got := sx.Lookup(q); got != idxTruth[i] {
-			t.Fatalf("after panic: Lookup(%v) = %d, want %d", q, got, idxTruth[i])
+		if got := sx.Lookup(q); got != idxTruth[i] || pos[i] != idxTruth[i] {
+			t.Fatalf("after panic: Lookup(%v) = %d, LookupBatch %d, want %d", q, got, pos[i], idxTruth[i])
 		}
 	}
 
 	sf := shardedFilter(t, 4, HashBySet)
-	defer func() { sf.hook = nil }()
 	fltTruth := make([]bool, len(qs))
 	for i, q := range qs {
 		fltTruth[i] = sf.Contains(q)
 	}
-	sf.hook = func(s int) {
-		if s == 3 {
-			panic("injected shard panic")
+	containBatch(t, "filter batch fan-out", &sf.container, len(qs), func() { sf.ContainsBatch(qs, 2) })
+	in := sf.ContainsBatch(qs, 2)
+	for i, q := range qs {
+		if got := sf.Contains(q); got != fltTruth[i] || in[i] != fltTruth[i] {
+			t.Fatalf("after panic: Contains(%v) = %v, ContainsBatch %v, want %v", q, got, in[i], fltTruth[i])
 		}
 	}
-	mustPanic(t, "filter batch fan-out", func() { sf.ContainsBatch(qs, 2) })
-	sf.hook = nil
-	for i, q := range qs {
-		if got := sf.Contains(q); got != fltTruth[i] {
-			t.Fatalf("after panic: Contains(%v) = %v, want %v", q, got, fltTruth[i])
+}
+
+// panicAt returns a dispatch hook that panics with "shard <s>" at each
+// listed shard.
+func panicAt(shards ...int) func(int) {
+	return func(s int) {
+		for _, p := range shards {
+			if s == p {
+				panic(fmt.Sprintf("shard %d", s))
+			}
+		}
+	}
+}
+
+// containBatch runs batch, an n-query batch call on c, with shards 3 and 1
+// panicking, and checks that it re-raises shard 1's panic and that every
+// other shard advanced its query counter by exactly the batch.
+func containBatch[M model, O any](t *testing.T, what string, c *container[M, O], n int, batch func()) {
+	t.Helper()
+	before := make([]uint64, c.k)
+	for s := range before {
+		before[s] = c.queries[s].Load()
+	}
+	c.hook = panicAt(3, 1)
+	defer func() { c.hook = nil }()
+	if got := mustPanic(t, what, batch); got != "shard 1" {
+		t.Fatalf("%s re-raised %v, want shard 1's panic", what, got)
+	}
+	for s := range before {
+		if s == 1 || s == 3 {
+			continue
+		}
+		if got := c.queries[s].Load() - before[s]; got != uint64(n) {
+			t.Fatalf("%s: shard %d ran %d queries, want the whole batch of %d", what, s, got, n)
 		}
 	}
 }

@@ -196,13 +196,31 @@ func (c *container[M, O]) snapshot() []*state[M] {
 	return sts
 }
 
-// fanBatch runs qs through every trained shard's batch path concurrently
-// and returns the per-shard answers (nil for a shard without a model).
-// Queries a shard's router prunes are not sent to its model; they are
-// scattered as miss, the exact answer of a shard that holds no trained
-// superset, so the fan-in matches the single-query path bit for bit.
+// fanBatch runs qs through every trained shard's batch path, one shard
+// after another on the caller's goroutine (see fanOut), and returns the
+// per-shard answers (nil for a shard without a model). Queries a shard's
+// router prunes are not sent to its model; they are scattered as miss, the
+// exact answer of a shard that holds no trained superset, so the fan-in
+// matches the single-query path bit for bit. Each query is hashed once per
+// batch, the selection buffers are reused from shard to shard, and the
+// scattered answers are cut from one slab.
 func fanBatch[M model, O, T any](c *container[M, O], sts []*state[M], qs []sets.Set, miss T, batch func(M, []sets.Set) []T) [][]T {
 	per := make([][]T, c.k)
+	var (
+		hs    []uint64
+		sel   []sets.Set
+		selAt []int
+		slab  []T
+	)
+	if c.route.hasPruning() {
+		hs = make([]uint64, len(qs))
+		for j, q := range qs {
+			hs[j] = q.Hash()
+		}
+		sel = make([]sets.Set, 0, len(qs))
+		selAt = make([]int, 0, len(qs))
+		slab = make([]T, c.k*len(qs))
+	}
 	fanOut(c.k, func(s int) {
 		if c.hook != nil {
 			c.hook(s)
@@ -212,19 +230,18 @@ func fanBatch[M model, O, T any](c *container[M, O], sts []*state[M], qs []sets.
 		if m == c.zero() {
 			return
 		}
-		if !c.route.hasPruning() {
+		if hs == nil {
 			per[s] = batch(m, qs)
 			return
 		}
-		sel := make([]sets.Set, 0, len(qs))
-		selAt := make([]int, 0, len(qs))
+		sel, selAt = sel[:0], selAt[:0]
 		for j, q := range qs {
-			if !c.route.prunes(s, q) {
+			if !c.route.prunes(s, q, hs[j]) {
 				sel = append(sel, q)
 				selAt = append(selAt, j)
 			}
 		}
-		out := make([]T, len(qs))
+		out := slab[s*len(qs) : (s+1)*len(qs) : (s+1)*len(qs)]
 		for j := range out {
 			out[j] = miss
 		}

@@ -23,6 +23,11 @@ var estKind = &kind[*core.CardinalityEstimator, core.EstimatorOptions]{
 	opts:   func(h *containerHeader) **core.EstimatorOptions { return &h.EstOpts },
 }
 
+// keyBufLen sizes the stack buffer an override read builds its key in: 64
+// bytes hold the key of any set of up to 12 ids, and a longer key grows
+// onto the heap.
+const keyBufLen = 64
+
 // auxOverride is one exact-cardinality override recorded by Update. The
 // decoded set rides along so a retrain can fold the counts of absorbed
 // inserts into the stored value, keeping the composed answer exact.
@@ -68,11 +73,20 @@ func BuildShardedEstimator(c *sets.Collection, o Options, opts core.EstimatorOpt
 	e := &Estimator{aux: make(map[string]auxOverride)}
 	var finish func(int, *state[*core.CardinalityEstimator])
 	if o.MeasureBounds {
-		// The first shard to finish training collects the workload while
-		// the others are still training.
-		workload := sync.OnceValue(func() *dataset.SubsetStats { return dataset.CollectSubsets(c, e.maxSub) })
+		// The first shard to finish training collects the workload, and
+		// hashes each of its queries once, while the others are still
+		// training.
+		workload := sync.OnceValues(func() (*dataset.SubsetStats, []uint64) {
+			st := dataset.CollectSubsets(c, e.maxSub)
+			hs := make([]uint64, len(st.Keys))
+			for i, key := range st.Keys {
+				hs[i] = st.ByKey[key].Set.Hash()
+			}
+			return st, hs
+		})
 		finish = func(s int, st *state[*core.CardinalityEstimator]) {
-			st.stat.ErrBound = measureShardBound(e.route, s, st.m, st.sub, workload(), e.maxSub)
+			wl, hs := workload()
+			st.stat.ErrBound = measureShardBound(e.route, s, st.m, st.sub, wl, hs, e.maxSub)
 		}
 	}
 	if err := e.build(estKind, c, o, opts, finish); err != nil {
@@ -94,12 +108,13 @@ func BuildShardedEstimator(c *sets.Collection, o Options, opts core.EstimatorOpt
 // these bounds compose additively across shards. Queries the router prunes
 // for this shard are served as exact 0 — and pruning is sound (a pruned
 // shard contains no superset of the query), so their error is exactly 0.
-func measureShardBound(rt *router, s int, est *core.CardinalityEstimator, sub *sets.Collection, workload *dataset.SubsetStats, maxSubset int) float64 {
+// hs[i] is the hash of the query under workload.Keys[i].
+func measureShardBound(rt *router, s int, est *core.CardinalityEstimator, sub *sets.Collection, workload *dataset.SubsetStats, hs []uint64, maxSubset int) float64 {
 	local := dataset.CollectSubsets(sub, maxSubset)
 	var bound float64
-	for _, key := range workload.Keys {
+	for i, key := range workload.Keys {
 		q := workload.ByKey[key].Set
-		if rt.prunes(s, q) {
+		if rt.prunes(s, q, hs[i]) {
 			continue
 		}
 		var truth float64
@@ -117,14 +132,14 @@ func measureShardBound(rt *router, s int, est *core.CardinalityEstimator, sub *s
 // model estimate over the trained sets plus the exact count over the
 // shard's pending delta. A shard the router prunes for q contributes its
 // delta count only — the prune is exact, so the model's would-be estimate
-// is replaced by the true trained-set cardinality, 0.
-func (e *Estimator) estimateShard(st *state[*core.CardinalityEstimator], s int, q sets.Set) float64 {
+// is replaced by the true trained-set cardinality, 0. h is q.Hash().
+func (e *Estimator) estimateShard(st *state[*core.CardinalityEstimator], s int, q sets.Set, h uint64) float64 {
 	if e.hook != nil {
 		e.hook(s)
 	}
 	e.queries[s].Add(1)
 	total := st.delta.Count(q)
-	if st.m != nil && !e.route.prunes(s, q) {
+	if st.m != nil && !e.route.prunes(s, q, h) {
 		total += st.m.Estimate(q)
 	}
 	return total
@@ -147,24 +162,26 @@ func (e *Estimator) Estimate(q sets.Set) float64 {
 	if len(q) == 0 {
 		return 0
 	}
+	var kb [keyBufLen]byte
 	e.auxMu.RLock()
-	if ov, ok := e.aux[q.Key()]; ok {
+	if ov, ok := e.aux[string(q.AppendKey(kb[:0]))]; ok {
 		total := ov.card + e.deltaCount(q)
 		e.auxMu.RUnlock()
 		return total
 	}
 	e.auxMu.RUnlock()
+	h := q.Hash()
 	total := 0.0
 	for s := 0; s < e.k; s++ {
-		total += e.estimateShard(e.states[s].Load(), s, q)
+		total += e.estimateShard(e.states[s].Load(), s, q, h)
 	}
 	return total
 }
 
 // EstimateBatch answers every query in qs into dst (grown as needed,
 // returned). Exact overrides and empty queries are answered up front; the
-// rest fan out to every shard's fused batch path concurrently and fan in
-// by summation, with each shard's delta count added on top.
+// rest fan out to each shard's fused batch path in turn and fan in by
+// summation, with each shard's delta count added on top.
 func (e *Estimator) EstimateBatch(dst []float64, qs []sets.Set) []float64 {
 	if cap(dst) < len(qs) {
 		dst = make([]float64, len(qs))
@@ -177,13 +194,14 @@ func (e *Estimator) EstimateBatch(dst []float64, qs []sets.Set) []float64 {
 	sts := e.snapshot()
 	need := make([]sets.Set, 0, len(qs))
 	needAt := make([]int, 0, len(qs))
+	var kb [keyBufLen]byte
 	e.auxMu.RLock()
 	for i, q := range qs {
 		if len(q) == 0 {
 			dst[i] = 0
 			continue
 		}
-		if ov, ok := e.aux[q.Key()]; ok {
+		if ov, ok := e.aux[string(q.AppendKey(kb[:0]))]; ok {
 			total := ov.card
 			for s := 0; s < e.k; s++ {
 				total += sts[s].delta.Count(q)

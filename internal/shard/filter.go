@@ -58,6 +58,7 @@ func (f *Filter) Contains(q sets.Set) bool {
 	if len(q) == 0 {
 		return true // the empty set is a subset of everything
 	}
+	h := q.Hash()
 	for s := 0; s < f.k; s++ {
 		if f.hook != nil {
 			f.hook(s)
@@ -69,17 +70,17 @@ func (f *Filter) Contains(q sets.Set) bool {
 		}
 		// A pruned shard provably holds no trained superset of q, so its
 		// trained filter's true answer is false; skip the consult.
-		if st.m != nil && !f.route.prunes(s, q) && st.m.Contains(q) {
+		if st.m != nil && !f.route.prunes(s, q, h) && st.m.Contains(q) {
 			return true
 		}
 	}
 	return false
 }
 
-// ContainsBatch answers many membership queries. The shard fan-out is the
-// parallelism axis: every shard runs the whole batch through its fused
-// path concurrently, and answers fan in by OR. The workers parameter is
-// accepted for interface parity with the monolith and ignored.
+// ContainsBatch answers many membership queries: each shard in turn runs
+// the whole batch through its fused path on the caller's goroutine, and
+// answers fan in by OR. The workers parameter is accepted for interface
+// parity with the monolith and ignored.
 func (f *Filter) ContainsBatch(qs []sets.Set, workers int) []bool {
 	_ = workers
 	out := make([]bool, len(qs))

@@ -54,14 +54,15 @@ func BuildShardedIndex(c *sets.Collection, o Options, opts core.IndexOptions) (*
 
 // lookupShard answers q on one shard's loaded state and maps the hit to a
 // global position (-1 when the shard has no hit), folding in the exact
-// delta of sets inserted after the shard's model was trained.
-func (x *Index) lookupShard(st *state[*core.SetIndex], s int, q sets.Set, equal bool) int {
+// delta of sets inserted after the shard's model was trained. h is
+// q.Hash().
+func (x *Index) lookupShard(st *state[*core.SetIndex], s int, q sets.Set, h uint64, equal bool) int {
 	if x.hook != nil {
 		x.hook(s)
 	}
 	x.queries[s].Add(1)
 	best := st.delta.FirstPos(q, equal)
-	if st.m == nil || x.route.prunes(s, q) {
+	if st.m == nil || x.route.prunes(s, q, h) {
 		// A pruned shard provably holds no trained superset of q, so its
 		// trained answer is exactly -1; only the delta can contribute.
 		return best
@@ -84,9 +85,10 @@ func (x *Index) lookup(q sets.Set, equal bool) int {
 	if len(q) == 0 {
 		return -1
 	}
+	h := q.Hash()
 	best := -1
 	for s := 0; s < x.k; s++ {
-		if p := x.lookupShard(x.states[s].Load(), s, q, equal); p >= 0 && (best < 0 || p < best) {
+		if p := x.lookupShard(x.states[s].Load(), s, q, h, equal); p >= 0 && (best < 0 || p < best) {
 			best = p
 		}
 	}
@@ -100,7 +102,7 @@ func (x *Index) Lookup(q sets.Set) int { return x.lookup(q, false) }
 func (x *Index) LookupEqual(q sets.Set) int { return x.lookup(q, true) }
 
 // LookupBatch answers every query in qs, writing first positions (or -1)
-// into dst (grown as needed, returned). Shards run concurrently, each
+// into dst (grown as needed, returned). Each shard in turn runs the batch
 // through its fused batch path; the fan-in min is taken per query. All
 // shard states are loaded up front, so the whole batch answers from one
 // consistent snapshot even while a retrain swaps underneath.

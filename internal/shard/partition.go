@@ -153,15 +153,17 @@ func (r *router) owner(s sets.Set) int {
 //
 // All three are exact, so skipping the shard's model/filter/index changes
 // no answer — only the shard's delta (which may momentarily lead the
-// retrained model) must still be consulted. Always false at K=1.
-func (r *router) prunes(sd int, q sets.Set) bool {
+// retrained model) must still be consulted. Always false at K=1. h is
+// q.Hash(), computed once per query by the caller rather than once per
+// shard.
+func (r *router) prunes(sd int, q sets.Set, h uint64) bool {
 	if r.freq != nil && r.freq.score(q) > r.freq.bounds[sd] {
 		return true
 	}
 	if r.present != nil && !r.present[sd].covers(q) {
 		return true
 	}
-	return r.support != nil && len(q) <= r.maxSub && r.support[sd].excludes(q)
+	return r.support != nil && len(q) <= r.maxSub && r.support[sd].excludes(h)
 }
 
 // hasPruning reports whether prunes can ever return true, letting batch

@@ -246,36 +246,29 @@ func joinErrs(errs []error) error {
 	}
 }
 
-// fanOut runs fn(s) for every shard concurrently and waits for all of them.
-// A panic in one shard's goroutine is contained: the remaining shards run
-// to completion (their pooled predictors are returned by the pool's
-// deferred Put, so they stay usable), and the lowest-numbered shard's panic
-// value is re-raised deterministically on the caller's goroutine.
+// fanOut runs fn(s) for every shard in turn on the caller's goroutine. A
+// panic in one shard's call is contained: each call runs under its own
+// deferred recover, the remaining shards still run (their pooled
+// predictors are returned by the pool's deferred Put, so they stay usable),
+// and the lowest-numbered shard's panic value is re-raised after the loop.
 func fanOut(k int, fn func(s int)) {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	panicShard := -1
-	var panicVal any
+	var first any
 	for s := 0; s < k; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if panicShard < 0 || s < panicShard {
-						panicShard, panicVal = s, r
-					}
-					mu.Unlock()
-				}
-			}()
-			fn(s)
-		}(s)
+		if r := callShard(fn, s); r != nil && first == nil {
+			first = r
+		}
 	}
-	wg.Wait()
-	if panicShard >= 0 {
-		panic(panicVal)
+	if first != nil {
+		panic(first)
 	}
+}
+
+// callShard runs fn(s) and returns the value it panicked with, or nil. A
+// panic(nil) surfaces as a non-nil *runtime.PanicNilError.
+func callShard(fn func(s int), s int) (r any) {
+	defer func() { r = recover() }()
+	fn(s)
+	return nil
 }
 
 func validate(c *sets.Collection) error {

@@ -187,14 +187,17 @@ func sampleKeys(st *dataset.SubsetStats, step int) []string {
 	return out
 }
 
-func mustPanic(t *testing.T, what string, fn func()) {
+// mustPanic runs fn and returns the value it panicked with, failing the
+// test when it returns normally.
+func mustPanic(t *testing.T, what string, fn func()) (v any) {
 	t.Helper()
 	defer func() {
-		if recover() == nil {
+		if v = recover(); v == nil {
 			t.Fatalf("%s: expected panic, got none", what)
 		}
 	}()
 	fn()
+	return nil
 }
 
 // TestBuildersRejectInvalidTrainingOptions: a build rejects training

@@ -56,8 +56,9 @@ func supportProbes(h uint64, nbits uint64) (uint64, uint64) {
 	return h & (nbits - 1), h2 & (nbits - 1)
 }
 
-// excludes reports that q is provably not a trained subset of the shard.
-func (f *supportFilter) excludes(q sets.Set) bool {
+// excludes reports that the set with hash h (sets.Set.Hash) is provably
+// not a trained subset of the shard.
+func (f *supportFilter) excludes(h uint64) bool {
 	if f.sat.Load() {
 		return false
 	}
@@ -67,7 +68,7 @@ func (f *supportFilter) excludes(q sets.Set) bool {
 	}
 	w := *wp
 	nbits := uint64(len(w)) * 64
-	a, b := supportProbes(q.Hash(), nbits)
+	a, b := supportProbes(h, nbits)
 	return w[a>>6]&(1<<(a&63)) == 0 || w[b>>6]&(1<<(b&63)) == 0
 }
 
