@@ -76,16 +76,6 @@ func inferenceReps(n int) int {
 // the median, so one pass slowed by a shared host does not set a point.
 const inferencePasses = 5
 
-// usPerQuery times inferencePasses passes of reps rounds over n queries
-// and returns the median pass's µs per query.
-func usPerQuery(reps, n int, round func()) float64 {
-	var us [inferencePasses]float64
-	for i := range us {
-		us[i] = passUS(reps, n, round)
-	}
-	return medianPass(us)
-}
-
 // passUS times one pass of reps rounds over n queries and returns its µs
 // per query.
 func passUS(reps, n int, round func()) float64 {
@@ -106,9 +96,9 @@ func medianPass(us [inferencePasses]float64) float64 {
 // uncached, precomputed φ-table, sharded φ-cache, and PredictBatch over the
 // φ-table — across set sizes and both model variants, verifying that every
 // fast-path answer is bit-identical to the uncached one. Each mode's time
-// is the median of inferencePasses passes of about 4096 queries. When the
-// BENCH_INFERENCE_OUT environment variable names a file, the points are
-// also written there as JSON.
+// is the median of inferencePasses passes of about 4096 queries, the four
+// modes' passes taken in turn. When the BENCH_INFERENCE_OUT environment
+// variable names a file, the points are also written there as JSON.
 func RunInference(w io.Writer, sc dataset.Scale) error {
 	maxID := uint32(sc.RWVocab - 1)
 	rep := &Report{
@@ -151,26 +141,13 @@ func RunInference(w io.Writer, sc dataset.Scale) error {
 				return nil
 			}
 
-			m.SetPhiAccel(nil)
-			uncached := usPerQuery(reps, len(qs), func() {
-				for _, q := range qs {
-					p.Predict(q)
-				}
-			})
-
-			m.SetPhiAccel(m.BuildPhiTable())
+			phiTable := m.BuildPhiTable()
+			m.SetPhiAccel(phiTable)
 			if err := verify("table"); err != nil {
 				return err
 			}
-			table := usPerQuery(reps, len(qs), func() {
-				for _, q := range qs {
-					p.Predict(q)
-				}
-			})
 			batchDst := make([]float64, len(qs))
-			batch := usPerQuery(reps, len(qs), func() {
-				p.PredictBatch(batchDst, qs)
-			})
+			p.PredictBatch(batchDst, qs)
 			for i := range qs {
 				if batchDst[i] != truth[i] { //lint:allow floateq -- bit-identity assertion: the phi fast path guarantees bit-equal outputs
 					return fmt.Errorf("bench: inference %s/batch k=%d: %v != uncached %v", config, k, batchDst[i], truth[i])
@@ -178,15 +155,32 @@ func RunInference(w io.Writer, sc dataset.Scale) error {
 			}
 
 			// Half-universe cache: real eviction traffic, not a disguised table.
-			m.SetPhiAccel(m.NewPhiCache(deepsets.PhiTableBytes(m.Config())/2, 0))
+			phiCache := m.NewPhiCache(deepsets.PhiTableBytes(m.Config())/2, 0)
+			m.SetPhiAccel(phiCache)
 			if err := verify("cache"); err != nil {
 				return err
 			}
-			cache := usPerQuery(reps, len(qs), func() {
+
+			// Pass i of every mode runs before pass i+1 of any, so load
+			// that comes and goes on a shared host lands on all four
+			// modes rather than on one side of a speedup.
+			single := func() {
 				for _, q := range qs {
 					p.Predict(q)
 				}
-			})
+			}
+			pass := func(accel deepsets.PhiAccel, round func()) float64 {
+				m.SetPhiAccel(accel)
+				return passUS(reps, len(qs), round)
+			}
+			var uncachedUS, tableUS, cacheUS, batchUS [inferencePasses]float64
+			for i := 0; i < inferencePasses; i++ {
+				uncachedUS[i] = pass(nil, single)
+				tableUS[i] = pass(phiTable, single)
+				cacheUS[i] = pass(phiCache, single)
+				batchUS[i] = pass(phiTable, func() { p.PredictBatch(batchDst, qs) })
+			}
+			uncached, table, cache, batch := medianPass(uncachedUS), medianPass(tableUS), medianPass(cacheUS), medianPass(batchUS)
 
 			pt := InferencePoint{
 				Config: config, SetSize: k,

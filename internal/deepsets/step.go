@@ -185,17 +185,17 @@ func (st *Stepper) Step(s sets.Set, target float64, loss Loss) float64 {
 	}
 
 	st.rho.gOut[len(st.rho.gOut)-1][0] = g
-	mat.Fill(st.gPooled, 0)
+	clear(st.gPooled)
 	st.rho.backward(&st.rhp, st.pooled, st.gPooled, logit)
 	if m.cfg.Pool == MeanPool {
-		mat.Fill(st.gSum, 0)
+		clear(st.gSum)
 		mat.Axpy(st.gSum, 1/float64(len(s)), st.gPooled)
 	}
 	gy := st.phi.gOut[len(st.phi.gOut)-1]
 	d := m.cfg.EmbedDim
 	for i := len(s) - 1; i >= 0; i-- {
 		e := &st.elems[i]
-		mat.Fill(gy, 0)
+		clear(gy)
 		switch m.cfg.Pool {
 		case MeanPool:
 			mat.AddTo(gy, st.gSum)
@@ -208,7 +208,7 @@ func (st *Stepper) Step(s sets.Set, target float64, loss Loss) float64 {
 		default:
 			mat.AddTo(gy, st.gPooled)
 		}
-		mat.Fill(st.gIn, 0)
+		clear(st.gIn)
 		st.phi.backward(&e.phi, e.in, st.gIn, false)
 		if m.cfg.Compressed {
 			for j, sub := range e.subs {
@@ -266,7 +266,7 @@ func (st *Stepper) pool(k int) {
 		}
 		return
 	}
-	mat.Fill(st.pooled, 0)
+	clear(st.pooled)
 	for i := 0; i < k; i++ {
 		mat.AddTo(st.pooled, st.elems[i].phi.y[last])
 	}
@@ -315,14 +315,13 @@ func (s *stack) backward(p *pass, x, gx []float64, logit bool) {
 		g := s.gOut[l]
 		if act := s.actAt(l, logit); act != nn.Identity {
 			gz := s.gPre[l]
-			mat.Fill(gz, 0)
 			activateBack(act, gz, g, p.pre[l], p.post[l])
 			g = gz
 		}
 		in, gin := x, gx
 		if l > 0 {
 			in, gin = p.y[l-1], s.gOut[l-1]
-			mat.Fill(gin, 0)
+			clear(gin)
 		}
 		mat.MatTVecAcc(gin, d.w, g)
 		mat.OuterAcc(d.gw, g, in)
@@ -331,7 +330,7 @@ func (s *stack) backward(p *pass, x, gx []float64, logit bool) {
 }
 
 // activate writes act(pre) into post as the tape's activation nodes do:
-// ReLU maps everything not above zero (NaN included) to 0.
+// ReLU maps everything not above zero (NaN included) to +0.
 func activate(act nn.Activation, post, pre []float64) {
 	switch act {
 	case nn.Sigmoid:
@@ -343,21 +342,21 @@ func activate(act nn.Activation, post, pre []float64) {
 			post[i] = math.Tanh(v)
 		}
 	case nn.ReLU:
-		for i, v := range pre {
-			if v > 0 {
-				post[i] = v
-			} else {
-				post[i] = 0
-			}
-		}
+		mat.ReLU(post, pre)
 	default:
 		panic(fmt.Sprintf("deepsets: unknown activation %v", act))
 	}
 }
 
-// activateBack accumulates the gradient at an activation's input into gz,
-// with the tape's expressions.
+// activateBack writes the gradient at an activation's input into gz with
+// the tape's expressions: the tape's gradient node starts at zero and
+// accumulates into it.
 func activateBack(act nn.Activation, gz, g, pre, post []float64) {
+	if act == nn.ReLU {
+		mat.ReLUBack(gz, g, pre)
+		return
+	}
+	clear(gz)
 	switch act {
 	case nn.Sigmoid:
 		for i, gi := range g {
@@ -368,12 +367,6 @@ func activateBack(act nn.Activation, gz, g, pre, post []float64) {
 		for i, gi := range g {
 			y := post[i]
 			gz[i] += gi * (1 - y*y)
-		}
-	case nn.ReLU:
-		for i, gi := range g {
-			if pre[i] > 0 {
-				gz[i] += gi
-			}
 		}
 	default:
 		panic(fmt.Sprintf("deepsets: unknown activation %v", act))

@@ -76,7 +76,7 @@ func NewDeltaFrom(entries []DeltaEntry) *Delta {
 // appendEntry copies s into the arena as a new entry; the caller holds the
 // write lock (or owns d exclusively).
 func (d *Delta) appendEntry(s sets.Set, pos int) {
-	if len(d.elems)+len(s) > math.MaxUint32 {
+	if uint64(len(d.elems))+uint64(len(s)) > math.MaxUint32 {
 		panic("hybrid: delta element arena exceeds 2^32 ids")
 	}
 	if len(d.off) == 0 {

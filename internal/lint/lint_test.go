@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -121,24 +122,45 @@ func TestPubfreezeRealHotSwapSites(t *testing.T) {
 	}
 }
 
-// TestSeededRegressions runs the whole suite over testdata/seedmod, which
-// carries one deliberate trustlen and one deliberate pubfreeze violation,
-// and fails unless both are reported: a clean pass over the real tree only
-// means something while the interprocedural analyzers still reject their
-// seeds.
+// TestSeededRegressions runs the whole suite over testdata/seedmod, whose
+// deliberate trustlen and pubfreeze violations each end in a "// seed:
+// <analyzer>" comment, and fails unless every one is reported at its own
+// line: a clean pass over the real tree only means something while the
+// interprocedural analyzers still reject their seeds.
 func TestSeededRegressions(t *testing.T) {
+	const dir = "testdata/seedmod"
+	src, err := os.ReadFile(filepath.Join(dir, "seedmod.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out strings.Builder
-	res, err := lint.Run("../..", []string{"./internal/lint/testdata/seedmod"}, nil, &out)
+	res, err := lint.Run("../..", []string{"./internal/lint/" + dir}, nil, &out)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if res.Errors != 0 || res.Packages != 1 {
 		t.Fatalf("res = %+v, want 1 package and 0 errors:\n%s", res, out.String())
 	}
-	for _, a := range []string{"trustlen", "pubfreeze"} {
-		if !strings.Contains(out.String(), "("+a+")") {
-			t.Errorf("seeded %s finding missing:\n%s", a, out.String())
+	seeds := 0
+	for i, line := range strings.Split(string(src), "\n") {
+		_, analyzer, ok := strings.Cut(line, "// seed: ")
+		if !ok {
+			continue
 		}
+		seeds++
+		at := fmt.Sprintf("seedmod.go:%d:", i+1)
+		found := false
+		for _, f := range strings.Split(out.String(), "\n") {
+			if strings.Contains(f, at) && strings.HasSuffix(f, "("+analyzer+")") {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("seeded %s finding at %s missing:\n%s", analyzer, at, out.String())
+		}
+	}
+	if seeds < 3 {
+		t.Errorf("found %d seeds in seedmod.go, want at least 3", seeds)
 	}
 }
 

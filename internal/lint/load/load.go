@@ -10,6 +10,7 @@ package load
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -147,16 +148,29 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
+		if buildsInto(dir, e) {
 			return true
 		}
 	}
 	return false
 }
 
-// LoadDir parses and type-checks the non-test package in dir. Test files
-// are excluded: the invariants the suite enforces govern production code,
-// and test packages lean on the same helpers the analyzers whitelist.
+// buildsInto reports whether e is a non-test Go file of dir's package that
+// the go command builds for the host's GOOS and GOARCH: file-name suffixes
+// and //go:build lines pick one file of each build-constrained pair.
+func buildsInto(dir string, e os.DirEntry) bool {
+	name := e.Name()
+	if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	return err == nil && ok
+}
+
+// LoadDir parses and type-checks the non-test package in dir, as the go
+// command builds it for the host. Test files are excluded: the invariants
+// the suite enforces govern production code, and test packages lean on the
+// same helpers the analyzers whitelist.
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -164,11 +178,10 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	}
 	var files []*ast.File
 	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !buildsInto(dir, e) {
 			continue
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("load: %w", err)
 		}

@@ -1,6 +1,7 @@
 package load
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -53,5 +54,27 @@ func TestExpandRecursive(t *testing.T) {
 		if strings.Contains(d, "testdata") {
 			t.Errorf("testdata must be skipped: %s", d)
 		}
+	}
+}
+
+// TestLoadDirHonorsBuildConstraints loads testdata/pair, whose x_amd64.go
+// and //go:build !amd64 x_other.go declare the same function, as the mat
+// kernels' assembly declarations and Go loops do: only the file the host
+// builds is type-checked, so the pair is not a redeclaration.
+func TestLoadDirHonorsBuildConstraints(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	dir := filepath.Join(l.ModuleDir, "internal", "lint", "load", "testdata", "pair")
+	pkg, err := l.LoadDir(dir)
+	if err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	if len(pkg.TypeErrors) != 0 {
+		t.Fatalf("type errors: %v", pkg.TypeErrors)
+	}
+	if len(pkg.Files) != 2 {
+		t.Errorf("loaded %d files, want use.go and the host's kernel file", len(pkg.Files))
 	}
 }

@@ -31,7 +31,9 @@
 // are separate functions — a closure mutating a variable its enclosing
 // function published is not connected to the publish site; defers are
 // checked against the state at function exit; callees without reachable
-// source (stdlib, other modules) are assumed read-only.
+// source (stdlib, other modules) are assumed read-only, while a function
+// declared without a body in a package being linted (an assembly kernel)
+// is assumed to write through every pointer-like parameter.
 package pubfreeze
 
 import (
@@ -380,7 +382,7 @@ func (c *checker) checkCallMutation(st pubState, call *ast.CallExpr) {
 	if fn == nil {
 		return
 	}
-	d, ok := c.store.Resolve(fn)
+	d, ok := c.store.Declared(fn)
 	if !ok {
 		return // no source in reach: assumed read-only (package doc caveat)
 	}
@@ -517,6 +519,17 @@ func (c *checker) summarize(d summary.Fn, depth int) mutSummary {
 		}
 	}
 
+	if d.Decl.Body == nil {
+		// An assembly body: nothing to read, so every pointer-like
+		// parameter may be written through.
+		pos := d.Decl.Name.Pos()
+		for _, slot := range slotOf {
+			mark(slot, pos, "`"+d.Decl.Name.Name+"`, declared without a Go body at "+summary.FormatPos(pi.Fset, pos)+" and assumed to write through its pointer-like parameters")
+		}
+		c.memo.Set(d.Func, sum)
+		return sum
+	}
+
 	astq.Inspect(d.Decl.Body, func(n ast.Node, _ []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -568,7 +581,7 @@ func (c *checker) summarizeCall(d summary.Fn, call *ast.CallExpr, slotOf map[*ty
 	if fn == nil {
 		return
 	}
-	d2, ok := c.store.Resolve(fn)
+	d2, ok := c.store.Declared(fn)
 	if !ok {
 		return
 	}

@@ -55,6 +55,7 @@ type Store struct {
 	pkgs     map[string]*analysis.PackageInfo // by import path
 	failed   map[string]error                 // load failures, cached
 	decls    map[string]Fn                    // by types.Func FullName
+	bodyless map[string]Fn                    // declared without a Go body, by FullName
 	suppress map[string]*analysis.Suppressions
 	memos    map[string]map[string]any // domain -> FullName -> summary
 }
@@ -67,6 +68,7 @@ func For(pass *analysis.Pass) *Store {
 			pkgs:     make(map[string]*analysis.PackageInfo),
 			failed:   make(map[string]error),
 			decls:    make(map[string]Fn),
+			bodyless: make(map[string]Fn),
 			suppress: make(map[string]*analysis.Suppressions),
 			memos:    make(map[string]map[string]any),
 		}
@@ -91,16 +93,20 @@ func (s *Store) addPackageLocked(pi *analysis.PackageInfo) {
 	for _, f := range pi.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok {
 				continue
 			}
 			fn, ok := pi.Info.Defs[fd.Name].(*types.Func)
 			if !ok {
 				continue
 			}
+			idx := s.decls
+			if fd.Body == nil {
+				idx = s.bodyless
+			}
 			key := fn.FullName()
-			if _, dup := s.decls[key]; !dup {
-				s.decls[key] = Fn{Func: fn, Decl: fd, Pkg: pi}
+			if _, dup := idx[key]; !dup {
+				idx[key] = Fn{Func: fn, Decl: fd, Pkg: pi}
 			}
 		}
 	}
@@ -136,6 +142,19 @@ func (s *Store) Resolve(fn *types.Func) (Fn, bool) {
 	}
 	s.addPackageLocked(pi)
 	d, ok := s.decls[fn.FullName()]
+	return d, ok
+}
+
+// Declared is Resolve that also returns a function declared without a Go
+// body (its body is assembly) in a package with source in reach; such an
+// Fn's Decl.Body is nil.
+func (s *Store) Declared(fn *types.Func) (Fn, bool) {
+	if d, ok := s.Resolve(fn); ok || fn == nil {
+		return d, ok
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	d, ok := s.bodyless[fn.FullName()]
 	return d, ok
 }
 

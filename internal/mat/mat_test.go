@@ -280,6 +280,66 @@ func BenchmarkOuterAcc(b *testing.B) {
 	benchKernel(b, func(_, dst *Matrix, x, g []float64) { OuterAcc(dst, g, x) })
 }
 
+// benchModelParams is the parameter count of the trainers' CLSM benchmark
+// model (BenchmarkTrainEpoch): two 39×8 sub-embedding tables, φ 32×16 and
+// 32×32, ρ 32×32 and 1×32, and their biases.
+const benchModelParams = 3313
+
+// benchElementwise times kernel on vectors as long as every benchShapes
+// matrix and as the benchmark model's whole parameter set: the lengths the
+// Adam update runs at. x holds values of both signs, y is 0.25 and dst and
+// z start at zero.
+func benchElementwise(b *testing.B, kernel func(dst, x, y, z []float64)) {
+	type size struct {
+		name string
+		n    int
+	}
+	var sizes []size
+	for _, sh := range benchShapes {
+		sizes = append(sizes, size{fmt.Sprintf("%dx%d", sh.rows, sh.cols), sh.rows * sh.cols})
+	}
+	for _, sz := range append(sizes, size{"model", benchModelParams}) {
+		b.Run(sz.name, func(b *testing.B) {
+			dst, x, y, z := make([]float64, sz.n), make([]float64, sz.n), make([]float64, sz.n), make([]float64, sz.n)
+			for i := range x {
+				x[i] = float64(i%7) - 3
+			}
+			Fill(y, 0.25)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kernel(dst, x, y, z)
+			}
+		})
+	}
+}
+
+func BenchmarkAxpy(b *testing.B) {
+	benchElementwise(b, func(dst, x, _, _ []float64) { Axpy(dst, 0.5, x) })
+}
+
+func BenchmarkAddTo(b *testing.B) {
+	benchElementwise(b, func(dst, x, _, _ []float64) { AddTo(dst, x) })
+}
+
+func BenchmarkReLU(b *testing.B) {
+	benchElementwise(b, func(dst, x, _, _ []float64) { ReLU(dst, x) })
+}
+
+func BenchmarkReLUBack(b *testing.B) {
+	benchElementwise(b, func(dst, x, g, _ []float64) { ReLUBack(dst, g, x) })
+}
+
+// BenchmarkAdamUpdate updates weights dst from the gradient y, with the
+// moments in x and z, at a late step's bias corrections. The gradient has
+// no zeros: a moment that decays for thousands of steps goes subnormal,
+// and subnormal arithmetic would set the time.
+func BenchmarkAdamUpdate(b *testing.B) {
+	benchElementwise(b, func(w, m, g, v []float64) {
+		AdamUpdate(w, g, m, v, 0.9, 0.999, 0.005, 1e-8, 0.99, 0.5)
+	})
+}
+
 func TestApproxEqual(t *testing.T) {
 	cases := []struct {
 		a, b, tol float64

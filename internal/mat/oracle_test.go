@@ -65,6 +65,58 @@ func refOuterAcc(dst *Matrix, g, x []float64) {
 	}
 }
 
+// refAxpy and refAddTo are the one-element-per-step loops that the
+// unrolled Go Axpy and AddTo were written to match.
+func refAxpy(dst []float64, a float64, x []float64) {
+	for i := range dst {
+		dst[i] += a * x[i]
+	}
+}
+
+func refAddTo(dst, x []float64) {
+	for i := range dst {
+		dst[i] += x[i]
+	}
+}
+
+// refReLU is the ReLU case of deepsets.activate, verbatim.
+func refReLU(post, pre []float64) {
+	for i, v := range pre {
+		if v > 0 {
+			post[i] = v
+		} else {
+			post[i] = 0
+		}
+	}
+}
+
+// refReLUBack is the ReLU case of deepsets.activateBack, which ran on a
+// zeroed gz.
+func refReLUBack(gz, g, pre []float64) {
+	for i, gi := range g {
+		if pre[i] > 0 {
+			gz[i] += gi
+		}
+	}
+}
+
+// refAdamOpt holds the fields of nn.Adam that its update loop reads.
+type refAdamOpt struct {
+	LR, Beta1, Beta2, Epsilon float64
+}
+
+// refAdam is the update loop of nn.Adam.Step for one parameter, verbatim
+// (p.Grad.Data is grad, p.Value.Data is w).
+func refAdam(o refAdamOpt, w, grad, m, v []float64, bc1, bc2 float64) {
+	for i, g := range grad {
+		m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
+		v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
+		mhat := m[i] / bc1
+		vhat := v[i] / bc2
+		w[i] -= o.LR * mhat / (math.Sqrt(vhat) + o.Epsilon)
+	}
+}
+
 // oracleValues draws inputs for the kernel oracle. With specials set, about
 // one value in eight is +0, −0, NaN, ±Inf or a subnormal; the rest are
 // normal numbers of mixed sign and magnitude, whose sums round differently
@@ -99,6 +151,14 @@ func (v oracleValues) next() float64 {
 	return v.rng.NormFloat64() * math.Ldexp(1, v.rng.Intn(21)-10)
 }
 
+// vec returns n values starting at a random element offset of 0 or 1 in
+// their backing array, so the kernels also meet slices that are not
+// 16-byte aligned.
+func (v oracleValues) vec(n int) []float64 {
+	off := v.rng.Intn(2)
+	return v.fill(make([]float64, n+off)[off:])
+}
+
 func (v oracleValues) fill(xs []float64) []float64 {
 	for i := range xs {
 		xs[i] = v.next()
@@ -110,7 +170,7 @@ func (v oracleValues) fill(xs []float64) []float64 {
 // set by pattern: none, every other one, all but the last, runs of three,
 // or at random.
 func (v oracleValues) gradient(n, pattern int) []float64 {
-	g := v.fill(make([]float64, n))
+	g := v.vec(n)
 	negZero := math.Copysign(0, -1)
 	for i := range g {
 		var zero bool
@@ -134,6 +194,12 @@ func (v oracleValues) gradient(n, pattern int) []float64 {
 	return g
 }
 
+// clone copies xs to a fresh slice at a random element offset.
+func (v oracleValues) clone(xs []float64) []float64 {
+	off := v.rng.Intn(2)
+	return append(make([]float64, off, off+len(xs)), xs...)[off:]
+}
+
 // sameBits reports the first index where got and want differ in their bit
 // patterns, or -1.
 func sameBits(got, want []float64) int {
@@ -145,22 +211,24 @@ func sameBits(got, want []float64) int {
 	return -1
 }
 
-// TestKernelsMatchReference checks the blocked MatVec, MatVecAdd,
-// MatTVecAcc and OuterAcc against the reference loops under
-// math.Float64bits, for every shape with rows and cols in 1..40 — every
-// odd-row and column-tail branch — on finite inputs and on inputs laced
-// with signed zeros, NaN, infinities and subnormals.
+// TestKernelsMatchReference checks the kernels against the reference
+// loops under math.Float64bits: MatVec, MatVecAdd, MatTVecAcc and OuterAcc
+// for every shape with rows and cols in 1..40 — every odd-row and
+// column-tail branch — and Axpy, AddTo, ReLU, ReLUBack and AdamUpdate for
+// every length in 0..40, on finite inputs and on inputs laced with signed
+// zeros, NaN, infinities and subnormals. Every vector starts at a random
+// element offset, so half of them are not 16-byte aligned.
 func TestKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for rows := 1; rows <= 40; rows++ {
 		for cols := 1; cols <= 40; cols++ {
 			for _, specials := range []bool{false, true} {
 				v := oracleValues{rng: rng, specials: specials}
-				m := FromSlice(rows, cols, v.fill(make([]float64, rows*cols)))
-				x := v.fill(make([]float64, cols))
-				b := v.fill(make([]float64, rows))
+				m := FromSlice(rows, cols, v.vec(rows*cols))
+				x := v.vec(cols)
+				b := v.vec(rows)
 
-				got, want := make([]float64, rows), make([]float64, rows)
+				got, want := v.vec(rows), make([]float64, rows)
 				MatVec(got, m, x)
 				refMatVec(want, m, x)
 				if i := sameBits(got, want); i >= 0 {
@@ -174,22 +242,83 @@ func TestKernelsMatchReference(t *testing.T) {
 
 				for pattern := 0; pattern <= 4; pattern++ {
 					g := v.gradient(rows, pattern)
-					base := v.fill(make([]float64, cols))
-					got := append([]float64(nil), base...)
-					want := append([]float64(nil), base...)
+					base := v.vec(cols)
+					got := v.clone(base)
+					want := v.clone(base)
 					MatTVecAcc(got, m, g)
 					refMatTVecAcc(want, m, g)
 					if i := sameBits(got, want); i >= 0 {
 						t.Fatalf("MatTVecAcc %dx%d specials=%v pattern %d: dst[%d] = %v, reference %v", rows, cols, specials, pattern, i, got[i], want[i])
 					}
 
-					acc := FromSlice(rows, cols, v.fill(make([]float64, rows*cols)))
+					acc := FromSlice(rows, cols, v.vec(rows*cols))
 					ref := acc.Clone()
 					OuterAcc(acc, g, x)
 					refOuterAcc(ref, g, x)
 					if i := sameBits(acc.Data, ref.Data); i >= 0 {
 						t.Fatalf("OuterAcc %dx%d specials=%v pattern %d: dst[%d] = %v, reference %v", rows, cols, specials, pattern, i, acc.Data[i], ref.Data[i])
 					}
+				}
+			}
+		}
+	}
+
+	opt := refAdamOpt{LR: 0.01, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
+	for n := 0; n <= 40; n++ {
+		for _, specials := range []bool{false, true} {
+			v := oracleValues{rng: rng, specials: specials}
+			check := func(kernel string, pattern int, got, want []float64) {
+				t.Helper()
+				if i := sameBits(got, want); i >= 0 {
+					t.Fatalf("%s n=%d specials=%v pattern %d: dst[%d] = %v, reference %v", kernel, n, specials, pattern, i, got[i], want[i])
+				}
+			}
+			x, base := v.vec(n), v.vec(n)
+
+			a := v.next()
+			got, want := v.clone(base), v.clone(base)
+			Axpy(got, a, x)
+			refAxpy(want, a, x)
+			check("Axpy", -1, got, want)
+
+			got, want = v.clone(base), v.clone(base)
+			AddTo(got, x)
+			refAddTo(want, x)
+			check("AddTo", -1, got, want)
+
+			// The outputs start out holding garbage: ReLU and ReLUBack
+			// write every element rather than accumulate.
+			got, want = v.vec(n), make([]float64, n)
+			ReLU(got, x)
+			refReLU(want, x)
+			check("ReLU", -1, got, want)
+
+			for pattern := 0; pattern <= 4; pattern++ {
+				g := v.gradient(n, pattern)
+				got, want = v.vec(n), make([]float64, n)
+				ReLUBack(got, g, x)
+				refReLUBack(want, g, x)
+				check("ReLUBack", pattern, got, want)
+
+				// Adam at its first step and deep into training, from
+				// moments that hold specials too. The second moments are
+				// made non-negative by negation, which leaves the one NaN
+				// pattern alone where math.Abs would make a second one.
+				for _, step := range []float64{1, 2, 1000} {
+					bc1 := 1 - math.Pow(opt.Beta1, step)
+					bc2 := 1 - math.Pow(opt.Beta2, step)
+					w, m, mv := v.vec(n), v.vec(n), v.vec(n)
+					for i, x := range mv {
+						if x < 0 {
+							mv[i] = -x
+						}
+					}
+					gw, gm, gv := v.clone(w), v.clone(m), v.clone(mv)
+					AdamUpdate(gw, g, gm, gv, opt.Beta1, opt.Beta2, opt.LR, opt.Epsilon, bc1, bc2)
+					refAdam(opt, w, g, m, mv, bc1, bc2)
+					check("AdamUpdate m", pattern, gm, m)
+					check("AdamUpdate v", pattern, gv, mv)
+					check("AdamUpdate w", pattern, gw, w)
 				}
 			}
 		}

@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
+
+	"setlearn/internal/mat"
+)
 
 // Adam implements the Adam optimizer (Kingma & Ba) — the default used by
 // Keras and therefore by the paper's training setup.
@@ -37,13 +41,7 @@ func (o *Adam) Step(params []*Param) {
 			v = make([]float64, p.Size())
 			o.m[p], o.v[p] = m, v
 		}
-		for i, g := range p.Grad.Data {
-			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
-			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
-			mhat := m[i] / bc1
-			vhat := v[i] / bc2
-			p.Value.Data[i] -= o.LR * mhat / (math.Sqrt(vhat) + o.Epsilon)
-		}
+		mat.AdamUpdate(p.Value.Data, p.Grad.Data, m, v, o.Beta1, o.Beta2, o.LR, o.Epsilon, bc1, bc2)
 		p.ZeroGrad()
 	}
 }
