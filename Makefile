@@ -16,13 +16,11 @@ vet:
 	$(GO) vet ./...
 
 # The one lint gate CI runs: gofmt, then every setlearnlint analyzer —
-# syntactic (binioerr, floateq, globalrand, lockescape, poolpair),
-# path-sensitive (deferclose, goroleak, lockbalance, waitgroup) and
-# interprocedural (pubfreeze, trustlen) — in one driver run under a
-# wall-clock budget, so a runaway fixed-point loop fails here rather than
-# at the CI job timeout. See README "Development". TestSeededRegressions
-# (go test ./internal/lint) checks that the interprocedural analyzers still
-# reject their seeds in testdata/seedmod.
+# path-sensitive (deferclose) and interprocedural (pubfreeze, trustlen) —
+# in one driver run under a wall-clock budget, so a runaway fixed-point
+# loop fails here rather than at the CI job timeout.
+# See README "Development". TestSeededRegressions (go test ./internal/lint)
+# checks that every analyzer still rejects its seed in testdata/seedmod.
 lint: fmt-check
 	timeout 300 $(GO) run ./cmd/setlearnlint ./...
 

@@ -1,9 +1,9 @@
 // Command setlearnlint runs setlearn's custom static-analysis suite: the
-// determinism, pooling, and locking invariants the serving stack depends
-// on, enforced mechanically instead of by review.
+// invariants of the load paths, the atomic hot-swaps and the file handles
+// that no test can see break, enforced mechanically instead of by review.
 //
 //	go run ./cmd/setlearnlint ./...
-//	go run ./cmd/setlearnlint -run floateq,poolpair ./internal/deepsets
+//	go run ./cmd/setlearnlint -run pubfreeze,trustlen ./internal/shard
 //
 // Exit status: 0 clean, 1 findings, 2 operational errors (parse or type
 // failures). Findings are suppressed line-by-line with

@@ -134,7 +134,7 @@ func RunInference(w io.Writer, sc dataset.Scale) error {
 			}
 			verify := func(mode string) error {
 				for i, q := range qs {
-					if got := p.Predict(q); got != truth[i] { //lint:allow floateq -- bit-identity assertion: the phi fast path guarantees bit-equal outputs
+					if got := p.Predict(q); got != truth[i] {
 						return fmt.Errorf("bench: inference %s/%s k=%d: %v != uncached %v", config, mode, k, got, truth[i])
 					}
 				}
@@ -149,7 +149,7 @@ func RunInference(w io.Writer, sc dataset.Scale) error {
 			batchDst := make([]float64, len(qs))
 			p.PredictBatch(batchDst, qs)
 			for i := range qs {
-				if batchDst[i] != truth[i] { //lint:allow floateq -- bit-identity assertion: the phi fast path guarantees bit-equal outputs
+				if batchDst[i] != truth[i] {
 					return fmt.Errorf("bench: inference %s/batch k=%d: %v != uncached %v", config, k, batchDst[i], truth[i])
 				}
 			}

@@ -133,6 +133,26 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsTruncatedStream cuts a saved filter at every length short
+// of the whole: each prefix must fail to load, or a dropped read error
+// would serve a filter whose missing bits answer false for added keys.
+func TestLoadRejectsTruncatedStream(t *testing.T) {
+	f := NewWithEstimates(500, 0.01)
+	for k := uint64(0); k < 500; k++ {
+		f.Add(k)
+	}
+	var buf bytes.Buffer
+	if err := f.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	for n := 0; n < len(full); n++ {
+		if _, err := Load(bytes.NewReader(full[:n])); err == nil {
+			t.Errorf("a %d-byte prefix of the %d-byte stream loaded", n, len(full))
+		}
+	}
+}
+
 func TestPanicsOnBadParams(t *testing.T) {
 	for name, f := range map[string]func(){
 		"m=0": func() { New(0, 3) },

@@ -115,25 +115,32 @@ func FuzzLoadStructure(f *testing.F) {
 
 // TestLoadTruncatedNeverPanics sweeps every truncation point of each valid
 // stream — the deterministic core of what FuzzLoadStructure explores — and
-// additionally flips bytes at regular offsets. Every variant must error or
-// load; none may panic.
+// additionally flips bytes at regular offsets. No variant may panic, and
+// every truncation must fail to load: a prefix that loads means a dropped
+// read error.
 func TestLoadTruncatedNeverPanics(t *testing.T) {
 	fc := buildFuzzCorpus(t)
-	try := func(which int, data []byte) {
+	try := func(which int, data []byte) error {
 		r := bytes.NewReader(data)
 		switch which {
 		case 0:
-			if idx, err := LoadIndex(r, fc.c); err == nil {
+			idx, err := LoadIndex(r, fc.c)
+			if err == nil {
 				idx.Lookup(fc.c.At(0))
 			}
+			return err
 		case 1:
-			if est, err := LoadCardinalityEstimator(r); err == nil {
+			est, err := LoadCardinalityEstimator(r)
+			if err == nil {
 				est.Estimate(fc.c.At(0))
 			}
-		case 2:
-			if mf, err := LoadMembershipFilter(r); err == nil {
+			return err
+		default:
+			mf, err := LoadMembershipFilter(r)
+			if err == nil {
 				mf.Contains(fc.c.At(0))
 			}
+			return err
 		}
 	}
 	for which, stream := range [][]byte{fc.index, fc.card, fc.member} {
@@ -144,7 +151,9 @@ func TestLoadTruncatedNeverPanics(t *testing.T) {
 			step = len(stream) / 2048
 		}
 		for n := 0; n < len(stream); n += step {
-			try(which, stream[:n])
+			if try(which, stream[:n]) == nil {
+				t.Errorf("stream %d: a %d-byte prefix of %d bytes loaded", which, n, len(stream))
+			}
 		}
 		// Corruptions: flip one byte at sampled offsets.
 		for off := 0; off < len(stream); off += 1 + len(stream)/256 {

@@ -206,6 +206,12 @@ func TestQueryWorkload(t *testing.T) {
 	if len(sizes) < 2 {
 		t.Fatal("workload should mix sizes")
 	}
+	// The benchmark and the experiments replay workloads by seed.
+	for i, q := range QueryWorkload(c, 500, 4, 9) {
+		if !q.Equal(qs[i]) {
+			t.Fatalf("query %d differs across equal seeds: %v vs %v", i, q, qs[i])
+		}
+	}
 }
 
 func TestScaleByName(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package astq holds the small AST/type queries shared by the setlearnlint
-// analyzers: static callee resolution, float detection, and an
-// ancestor-tracking walker (the stdlib ast.Inspect does not expose the
-// path to the root, which poolpair and binioerr need to see enclosing
-// defer and assignment statements).
+// analyzers: static callee resolution, pool-method and named-type
+// matching, and an ancestor-tracking walker (the stdlib ast.Inspect does
+// not expose the path to the root, which deferclose needs to see enclosing
+// defer statements).
 package astq
 
 import (
@@ -37,16 +37,6 @@ func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool 
 		fn.Type().(*types.Signature).Recv() == nil
 }
 
-// IsFloat reports whether t's core type is float32 or float64 (including
-// untyped float constants).
-func IsFloat(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
 // Inspect walks root like ast.Inspect but passes the stack of ancestors
 // (outermost first, not including n itself) to fn. Returning false prunes
 // the subtree.
@@ -66,17 +56,6 @@ func Inspect(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	})
 }
 
-// InsideDefer reports whether any ancestor on stack is a defer statement —
-// including the body of a function literal that a defer invokes.
-func InsideDefer(stack []ast.Node) bool {
-	for _, n := range stack {
-		if _, ok := n.(*ast.DeferStmt); ok {
-			return true
-		}
-	}
-	return false
-}
-
 // DeferredLit reports whether lit is the function of a defer statement's
 // call (defer func(){...}()), given lit's ancestor stack from Inspect.
 // The stack ends [..., DeferStmt, CallExpr] for such literals.
@@ -93,8 +72,8 @@ func DeferredLit(lit *ast.FuncLit, stack []ast.Node) bool {
 }
 
 // PoolMethod reports whether fn is a Get/Put method whose receiver is
-// sync.Pool or a named type ending in "Pool". Shared by poolpair (pairing
-// discipline) and deferclose (path coverage of the release).
+// sync.Pool or a named type ending in "Pool"; deferclose checks that a
+// Get's release covers every path.
 func PoolMethod(fn *types.Func) bool {
 	if fn.Name() != "Get" && fn.Name() != "Put" {
 		return false

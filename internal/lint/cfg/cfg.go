@@ -16,17 +16,12 @@
 //
 // Two synthetic exit blocks terminate every graph: Exit collects normal
 // returns (and falling off the end of the body), Panic collects explicit
-// panic(...) statements. Analyzers that exempt panicking paths seed the
-// Panic block differently from Exit.
+// panic(...) statements.
 package cfg
 
 import (
-	"bytes"
-	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
-	"strings"
 )
 
 // Graph is the control-flow graph of one function body.
@@ -468,42 +463,4 @@ func (b *builder) switchBody(label string, body *ast.BlockStmt, allowFall bool) 
 func isPanicCall(call *ast.CallExpr) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	return ok && id.Name == "panic"
-}
-
-// Dump renders the graph as a stable text form for golden tests: one
-// paragraph per block with its nodes and successor list.
-func (g *Graph) Dump() string {
-	var sb strings.Builder
-	for _, b := range g.Blocks {
-		fmt.Fprintf(&sb, "b%d %s\n", b.Index, b.Desc)
-		for _, n := range b.Nodes {
-			marker := ""
-			if e, ok := n.(ast.Expr); ok && e == b.Cond {
-				marker = "cond "
-			}
-			fmt.Fprintf(&sb, "\t%s%s\n", marker, g.nodeText(n))
-		}
-		if len(b.Succs) > 0 {
-			var ss []string
-			for _, s := range b.Succs {
-				ss = append(ss, fmt.Sprintf("b%d", s.Index))
-			}
-			fmt.Fprintf(&sb, "\t-> %s\n", strings.Join(ss, " "))
-		}
-	}
-	return sb.String()
-}
-
-// nodeText renders a node as one line of collapsed source, capped so
-// multi-line nodes (closures) stay readable in dumps.
-func (g *Graph) nodeText(n ast.Node) string {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, g.fset, n); err != nil {
-		return fmt.Sprintf("<%T>", n)
-	}
-	s := strings.Join(strings.Fields(buf.String()), " ")
-	if len(s) > 60 {
-		s = s[:57] + "..."
-	}
-	return s
 }

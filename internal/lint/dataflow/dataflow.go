@@ -1,9 +1,7 @@
-// Package dataflow provides generic worklist solvers over the CFGs built
-// by internal/lint/cfg: a forward solver (facts flow entry→exit, e.g.
-// "which locks may be held here"), a backward solver (facts flow
-// exit→entry, e.g. "is a send guaranteed on every path from here"), and a
-// bounded acyclic path enumerator for analyzers that need whole paths
-// rather than per-block joins.
+// Package dataflow provides a generic forward worklist solver over the
+// CFGs built by internal/lint/cfg (facts flow entry→exit, e.g. "which
+// values are tainted here"), and a bounded acyclic path enumerator for
+// analyzers that need whole paths rather than per-block joins.
 //
 // Lattices must be finite-height for termination: Join must be monotone
 // and states must stop changing after finitely many joins. Init() is the
@@ -11,11 +9,7 @@
 // analyses).
 package dataflow
 
-import (
-	"go/ast"
-
-	"setlearn/internal/lint/cfg"
-)
+import "setlearn/internal/lint/cfg"
 
 // Lattice describes the state domain of an analysis.
 type Lattice[S any] interface {
@@ -25,10 +19,8 @@ type Lattice[S any] interface {
 	Equal(a, b S) bool
 }
 
-// Result holds the fixed-point states at block boundaries. For a forward
-// analysis In[b] is the state on entry to b and Out[b] on exit; for a
-// backward analysis In[b] is the state *before* b's nodes run (facts
-// about what must happen from b onward) and Out[b] after them.
+// Result holds the fixed-point states at block boundaries: In[b] is the
+// state on entry to b and Out[b] on exit.
 type Result[S any] struct {
 	In  map[*cfg.Block]S
 	Out map[*cfg.Block]S
@@ -69,75 +61,6 @@ func Forward[S any](g *cfg.Graph, lat Lattice[S], entry S, transfer func(b *cfg.
 		}
 	}
 	return res
-}
-
-// Backward solves a backward dataflow problem. boundary gives the state
-// at exit blocks (blocks without successors: Exit and Panic); transfer
-// maps a block's out-state to its in-state by interpreting the block's
-// nodes in reverse source order.
-func Backward[S any](g *cfg.Graph, lat Lattice[S], boundary func(b *cfg.Block) S, transfer func(b *cfg.Block, out S) S) *Result[S] {
-	res := &Result[S]{
-		In:  make(map[*cfg.Block]S, len(g.Blocks)),
-		Out: make(map[*cfg.Block]S, len(g.Blocks)),
-	}
-	for _, b := range g.Blocks {
-		res.In[b] = lat.Init()
-		res.Out[b] = lat.Init()
-	}
-	work := newWorklist(g.Blocks)
-	for {
-		b, ok := work.pop()
-		if !ok {
-			break
-		}
-		var out S
-		if len(b.Succs) == 0 {
-			out = boundary(b)
-		} else {
-			out = lat.Init()
-			for _, s := range b.Succs {
-				out = lat.Join(out, res.In[s])
-			}
-		}
-		in := transfer(b, out)
-		res.Out[b] = out
-		if !lat.Equal(in, res.In[b]) {
-			res.In[b] = in
-			for _, p := range b.Preds {
-				work.push(p)
-			}
-		}
-	}
-	return res
-}
-
-// MustReach reports whether every path from the entry to the normal Exit
-// block passes through a node satisfying hit. Paths ending at the Panic
-// block are exempt (a panicking path is not a silent miss). Nodes are
-// tested whole; hit is responsible for skipping nested function literals.
-func MustReach(g *cfg.Graph, hit func(ast.Node) bool) bool {
-	res := Backward[bool](g, andLattice{},
-		func(b *cfg.Block) bool {
-			return b == g.Panic // Exit demands a hit; panic paths are exempt
-		},
-		func(b *cfg.Block, out bool) bool {
-			for i := len(b.Nodes) - 1; i >= 0; i-- {
-				if hit(b.Nodes[i]) {
-					return true
-				}
-			}
-			return out
-		})
-	return res.In[g.Entry]
-}
-
-// andLattice is the must-analysis bool lattice: Join is AND, identity true.
-type andLattice struct{}
-
-func (andLattice) Init() bool          { return true }
-func (andLattice) Join(a, b bool) bool { return a && b }
-func (andLattice) Equal(a, b bool) bool {
-	return a == b
 }
 
 // Paths enumerates acyclic block paths from from to to, invoking visit

@@ -100,104 +100,6 @@ func (intLattice) Join(a, b int) int {
 }
 func (intLattice) Equal(a, b int) bool { return a == b }
 
-func TestMustReach(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want bool
-	}{
-		{
-			name: "straight line",
-			src:  `func f() { signal() }`,
-			want: true,
-		},
-		{
-			name: "missing on fallthrough path",
-			src: `func f(cond bool) {
-	if cond {
-		signal()
-		return
-	}
-}`,
-			want: false,
-		},
-		{
-			name: "both branches covered",
-			src: `func f(cond bool) {
-	if cond {
-		signal()
-		return
-	}
-	signal()
-}`,
-			want: true,
-		},
-		{
-			name: "panic path exempt",
-			src: `func f(cond bool) {
-	if cond {
-		panic("boom")
-	}
-	signal()
-}`,
-			want: true,
-		},
-		{
-			name: "signal only before panic",
-			src: `func f(cond bool) {
-	if cond {
-		signal()
-		panic("boom")
-	}
-}`,
-			want: false,
-		},
-		{
-			name: "covered inside infinite loop is vacuous",
-			src: `func f(step func() bool) {
-	for {
-		if step() {
-			break
-		}
-	}
-	signal()
-}`,
-			want: true,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			g := build(t, tc.src)
-			got := dataflow.MustReach(g, func(n ast.Node) bool { return nodeHas(n, "signal") })
-			if got != tc.want {
-				t.Errorf("MustReach = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
-func TestBackwardBoundary(t *testing.T) {
-	g := build(t, `func f(cond bool) {
-	if cond {
-		panic("boom")
-	}
-}`)
-	// Boundary distinguishes Exit from Panic; the entry in-state must join
-	// both boundary values through the branches.
-	res := dataflow.Backward[bool](g, andLat{},
-		func(b *cfg.Block) bool { return b == g.Panic },
-		func(b *cfg.Block, out bool) bool { return out })
-	if res.In[g.Entry] {
-		t.Error("entry should see the non-exempt Exit path")
-	}
-}
-
-type andLat struct{}
-
-func (andLat) Init() bool           { return true }
-func (andLat) Join(a, b bool) bool  { return a && b }
-func (andLat) Equal(a, b bool) bool { return a == b }
-
 func TestPathsEnumeration(t *testing.T) {
 	g := build(t, `func f(a, b bool) {
 	if a {

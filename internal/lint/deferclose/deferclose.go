@@ -1,11 +1,11 @@
-// Package deferclose generalizes poolpair's pairing discipline to path
-// coverage: a resource acquired from os.Open/Create/OpenFile,
-// net.Listen/Dial, or a pool Get must be released on every path from the
-// acquire to a return — by a (possibly deferred) Close, a pool Put, being
-// returned to the caller, or being handed to another owner. Paths taken
-// only when the acquire's error result is non-nil are exempt (there is no
-// resource to release), as are resources captured by closures or go
-// statements (ownership escapes the straight-line analysis).
+// Package deferclose checks release on every path: a resource acquired
+// from os.Open/Create/OpenFile, net.Listen/Dial, or a pool Get must be
+// released on every path from the acquire to a return — by a (possibly
+// deferred) Close, a pool Put, being returned to the caller, or being
+// handed to another owner. Paths taken only when the acquire's error
+// result is non-nil are exempt (there is no resource to release), as are
+// resources captured by closures or go statements (ownership escapes the
+// straight-line analysis).
 //
 // Functions too branchy to enumerate within the dataflow path budget are
 // skipped entirely rather than reported on partial evidence.
@@ -35,6 +35,7 @@ var Analyzer = &analysis.Analyzer{
 		"setlearn/internal/sets",
 		"setlearn/internal/core",
 		"setlearn/cmd",
+		"setlearn/internal/lint/testdata/seedmod",
 	},
 	Run: run,
 }

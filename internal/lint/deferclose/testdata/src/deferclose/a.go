@@ -86,7 +86,7 @@ func (p *predictorPool) poolGetLeaks(n int) int {
 	return out
 }
 
-// poolGetDeferred is the discipline poolpair already demands, now path-checked.
+// poolGetDeferred releases the pooled object under defer right after the Get.
 func (p *predictorPool) poolGetDeferred(n int) int {
 	pred := p.Get()
 	defer p.Put(pred)

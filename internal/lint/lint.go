@@ -13,33 +13,17 @@ import (
 	"strings"
 
 	"setlearn/internal/lint/analysis"
-	"setlearn/internal/lint/binioerr"
 	"setlearn/internal/lint/deferclose"
-	"setlearn/internal/lint/floateq"
-	"setlearn/internal/lint/globalrand"
-	"setlearn/internal/lint/goroleak"
 	"setlearn/internal/lint/load"
-	"setlearn/internal/lint/lockbalance"
-	"setlearn/internal/lint/lockescape"
-	"setlearn/internal/lint/poolpair"
 	"setlearn/internal/lint/pubfreeze"
 	"setlearn/internal/lint/trustlen"
-	"setlearn/internal/lint/waitgroup"
 )
 
 // Analyzers is the full setlearnlint suite, in stable order.
 var Analyzers = []*analysis.Analyzer{
-	binioerr.Analyzer,
 	deferclose.Analyzer,
-	floateq.Analyzer,
-	globalrand.Analyzer,
-	goroleak.Analyzer,
-	lockbalance.Analyzer,
-	lockescape.Analyzer,
-	poolpair.Analyzer,
 	pubfreeze.Analyzer,
 	trustlen.Analyzer,
-	waitgroup.Analyzer,
 }
 
 // ByName returns the named analyzer, or nil.

@@ -2,7 +2,7 @@
 // diagnostics against // want "regexp" comments, following the conventions
 // of golang.org/x/tools/go/analysis/analysistest:
 //
-//	x := a == b // want `floateq: .*==.*`
+//	f, err := os.Open(name) // want `f from os.Open is not released`
 //
 // Every diagnostic must be matched by a want comment on its line, and
 // every want comment must be matched by a diagnostic. Analyzer Scope is

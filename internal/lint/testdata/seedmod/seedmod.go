@@ -1,12 +1,13 @@
-// Package seedmod holds three deliberate violations: a loader that sizes
-// an allocation by a decoded length (trustlen), a snapshot mutated through
-// a helper after it is published (pubfreeze), and a published table
-// accumulated into through a mat kernel whose body is assembly on amd64
-// (pubfreeze). Each offending line ends in a "seed:" comment naming its
-// analyzer. TestSeededRegressions runs the whole suite over this package
-// and fails unless each is reported at its line, proving the summary
-// machinery still detects what it exists to detect before its silence on
-// the real tree is trusted.
+// Package seedmod holds deliberate violations: a loader that sizes an
+// allocation by a decoded length (trustlen), a snapshot mutated through a
+// helper after it is published (pubfreeze), a published table accumulated
+// into through a mat kernel whose body is assembly on amd64 (pubfreeze),
+// and a file opened and never closed (deferclose), the bug that escapes
+// every test when seeded into the real tree (DESIGN §6). Each offending
+// line ends in a "seed:" comment naming its analyzer. TestSeededRegressions runs the
+// whole suite over this package and fails unless each is reported at its
+// line, so an analyzer's silence on the real tree is trusted only while it
+// still rejects its seed.
 //
 // The package lives under testdata/ so the go toolchain and the lint
 // driver's recursive ./... expansion both skip it; only an explicit
@@ -16,6 +17,7 @@ package seedmod
 import (
 	"encoding/binary"
 	"io"
+	"os"
 	"sync/atomic"
 
 	"setlearn/internal/mat"
@@ -61,4 +63,17 @@ func PublishThenAccumulate(x []float64) {
 	t := &table{rows: make([]float64, len(x))}
 	cur.Store(t)
 	mat.AddTo(t.rows, x) // seed: pubfreeze
+}
+
+// Sniff reports whether path starts with a magic, the shape of the CLIs'
+// format sniffers with their deferred Close dropped: the file stays open
+// for the life of the process, and deferclose must flag the Open.
+func Sniff(path string, magic []byte) bool {
+	f, err := os.Open(path) // seed: deferclose
+	if err != nil {
+		return false
+	}
+	got := make([]byte, len(magic))
+	_, err = io.ReadFull(f, got)
+	return err == nil && string(got) == string(magic)
 }

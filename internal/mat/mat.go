@@ -195,44 +195,6 @@ func Fill(x []float64, v float64) {
 	}
 }
 
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// ApproxEqual reports whether a and b agree within absolute tolerance
-// tol. It is the approved way to compare floats in the numeric packages:
-// the floateq analyzer flags raw ==/!= there. Exact equality short-circuits
-// so infinities of the same sign compare equal; NaN never compares equal
-// to anything, matching IEEE semantics.
-func ApproxEqual(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	return math.Abs(a-b) <= tol
-}
-
-// WithinTol reports whether a and b agree within tol scaled by the larger
-// magnitude (but never below tol itself) — a combined absolute/relative
-// comparison for values whose scale is not known a priori.
-func WithinTol(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	scale := 1.0
-	if aa := math.Abs(a); aa > scale {
-		scale = aa
-	}
-	if ab := math.Abs(b); ab > scale {
-		scale = ab
-	}
-	return math.Abs(a-b) <= tol*scale
-}
-
 // MaxAbs returns the largest absolute element of x, or 0 for empty x.
 func MaxAbs(x []float64) float64 {
 	var m float64

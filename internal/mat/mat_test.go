@@ -129,9 +129,6 @@ func TestAxpyDotScaleFillNorm(t *testing.T) {
 	if dst[0] != 7 || dst[1] != 7 {
 		t.Fatalf("Fill got %v", dst)
 	}
-	if !almostEq(Norm2([]float64{3, 4}), 5) {
-		t.Fatal("Norm2 wrong")
-	}
 	if MaxAbs([]float64{-3, 2}) != 3 {
 		t.Fatal("MaxAbs wrong")
 	}
@@ -338,46 +335,4 @@ func BenchmarkAdamUpdate(b *testing.B) {
 	benchElementwise(b, func(w, m, g, v []float64) {
 		AdamUpdate(w, g, m, v, 0.9, 0.999, 0.005, 1e-8, 0.99, 0.5)
 	})
-}
-
-func TestApproxEqual(t *testing.T) {
-	cases := []struct {
-		a, b, tol float64
-		want      bool
-	}{
-		{1.0, 1.0, 0, true},
-		{1.0, 1.0 + 1e-12, 1e-9, true},
-		{1.0, 1.0 + 1e-6, 1e-9, false},
-		{0, 0, 0, true},
-		{math.Inf(1), math.Inf(1), 1e-9, true},
-		{math.Inf(1), math.Inf(-1), 1e-9, false},
-		{math.NaN(), math.NaN(), 1e-9, false},
-		{math.NaN(), 1.0, 1e-9, false},
-	}
-	for _, c := range cases {
-		if got := ApproxEqual(c.a, c.b, c.tol); got != c.want {
-			t.Errorf("ApproxEqual(%v, %v, %v) = %v, want %v", c.a, c.b, c.tol, got, c.want)
-		}
-	}
-}
-
-func TestWithinTol(t *testing.T) {
-	cases := []struct {
-		a, b, tol float64
-		want      bool
-	}{
-		{1.0, 1.0, 0, true},
-		// Relative scaling: 1e6 vs 1e6+1 differ by 1, within 1e-5*1e6 = 10.
-		{1e6, 1e6 + 1, 1e-5, true},
-		{1e6, 1e6 + 100, 1e-5, false},
-		// Small magnitudes fall back to the absolute floor.
-		{1e-12, 2e-12, 1e-9, true},
-		{math.NaN(), math.NaN(), 1e-9, false},
-		{math.Inf(1), math.Inf(1), 1e-9, true},
-	}
-	for _, c := range cases {
-		if got := WithinTol(c.a, c.b, c.tol); got != c.want {
-			t.Errorf("WithinTol(%v, %v, %v) = %v, want %v", c.a, c.b, c.tol, got, c.want)
-		}
-	}
 }

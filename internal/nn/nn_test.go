@@ -365,6 +365,9 @@ func TestParamVecPanicsOnMatrix(t *testing.T) {
 	p.Vec()
 }
 
+// TestLoadRejectsTruncatedStream cuts the stream at every length short of
+// the whole: each prefix must fail to load, or a dropped read error would
+// leave a model half initialised from a cut file.
 func TestLoadRejectsTruncatedStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := NewMLP("m", []int{3, 5, 1}, ReLU, Sigmoid, rng)
@@ -372,10 +375,12 @@ func TestLoadRejectsTruncatedStream(t *testing.T) {
 	if err := SaveParams(&buf, m.Params()); err != nil {
 		t.Fatal(err)
 	}
-	truncated := buf.Bytes()[:buf.Len()/2]
+	full := buf.Bytes()
 	m2 := NewMLP("m", []int{3, 5, 1}, ReLU, Sigmoid, rng)
-	if err := LoadParams(bytes.NewReader(truncated), m2.Params()); err == nil {
-		t.Fatal("expected truncation error")
+	for n := 0; n < len(full); n++ {
+		if err := LoadParams(bytes.NewReader(full[:n]), m2.Params()); err == nil {
+			t.Errorf("a %d-byte prefix of the %d-byte stream loaded", n, len(full))
+		}
 	}
 }
 

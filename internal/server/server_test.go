@@ -512,6 +512,31 @@ func TestRunServesAndDrains(t *testing.T) {
 	}
 }
 
+// TestRunReturnsWhenServeFails pins Run's other exit: when serving stops on
+// its own (here the HTTP server is closed under it), Run must return that
+// error instead of waiting for a cancel that may never come.
+func TestRunReturnsWhenServeFails(t *testing.T) {
+	f := sharedFixture(t)
+	s, err := New(Structures{Estimator: f.est}, Config{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Run(context.Background()) }()
+	if s.Addr() == nil {
+		t.Fatal("Run failed to listen")
+	}
+	s.http.Close()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Run returned nil after its server closed")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still waiting 10s after its server closed")
+	}
+}
+
 // TestAddrUnblocksWhenListenFails is a regression test for a stuck-goroutine
 // bug: when net.Listen failed, Run returned without touching s.addr, so any
 // goroutine already blocked in Addr() hung forever. Run must close the

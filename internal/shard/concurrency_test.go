@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -87,6 +88,17 @@ func TestShardedConcurrentQueryInsert(t *testing.T) {
 						}
 					}
 					i += len(queries) - 1
+				case 7: // footprint and save range over the overrides under writes
+					if est.SizeBytes() <= 0 {
+						t.Error("SizeBytes <= 0 under writes")
+						return
+					}
+					if i%10 == 0 {
+						if err := est.Save(io.Discard); err != nil {
+							t.Errorf("Save under writes: %v", err)
+							return
+						}
+					}
 				case 4, 5: // single index reads
 					if got := idx.Lookup(queries[k]); got != firstPos[k] {
 						t.Errorf("Lookup(%v) = %d, want %d", queries[k], got, firstPos[k])
@@ -158,7 +170,7 @@ func TestShardedConcurrentFilter(t *testing.T) {
 // swallowed nor nondeterministic; (b) every other shard still ran the whole
 // batch; and (c) once the injection is removed, the container answers
 // exactly as before — the panicking shards' pooled predictors were
-// returned by their deferred Puts (the poolpair invariant), so nothing is
+// returned by their deferred Puts (TestPredictorPoolPanicSafety), so nothing is
 // poisoned. The estimator's single-query path must panic too.
 func TestShardedPanicContainment(t *testing.T) {
 	_, st := testCollection(t)

@@ -153,23 +153,29 @@ func TestShardedGoldenRoundTrip(t *testing.T) {
 	})
 }
 
-// tryLoad drives one loader over data; a decode must yield a queryable
-// container, and no input may panic.
-func tryLoadSharded(c *sets.Collection, which int, data []byte) {
+// tryLoadSharded drives one loader over data and returns its error; a
+// decode must yield a queryable container, and no input may panic.
+func tryLoadSharded(c *sets.Collection, which int, data []byte) error {
 	r := bytes.NewReader(data)
 	switch which {
 	case 0:
-		if x, err := LoadShardedIndex(r, c); err == nil {
+		x, err := LoadShardedIndex(r, c)
+		if err == nil {
 			x.Lookup(c.At(0))
 		}
+		return err
 	case 1:
-		if e, err := LoadShardedEstimator(r); err == nil {
+		e, err := LoadShardedEstimator(r)
+		if err == nil {
 			e.Estimate(c.At(0))
 		}
-	case 2:
-		if f, err := LoadShardedFilter(r); err == nil {
+		return err
+	default:
+		f, err := LoadShardedFilter(r)
+		if err == nil {
 			f.Contains(c.At(0))
 		}
+		return err
 	}
 }
 
@@ -217,9 +223,9 @@ func TestShardedLoadErrors(t *testing.T) {
 }
 
 // TestShardedLoadTruncatedNeverPanics sweeps every truncation point of each
-// valid container (sampled for long streams) plus single-byte corruptions —
-// the truncated-shard satellite case. Every variant must error or load;
-// none may panic.
+// valid container (sampled for long streams) plus single-byte corruptions.
+// No variant may panic, and every truncation must fail to load: a prefix
+// that loads means a dropped read error.
 func TestShardedLoadTruncatedNeverPanics(t *testing.T) {
 	fc := buildIOCorpus(t)
 	for which, stream := range [][]byte{fc.index, fc.card, fc.member} {
@@ -228,7 +234,9 @@ func TestShardedLoadTruncatedNeverPanics(t *testing.T) {
 			step = len(stream) / 2048
 		}
 		for n := 0; n < len(stream); n += step {
-			tryLoadSharded(fc.c, which, stream[:n])
+			if tryLoadSharded(fc.c, which, stream[:n]) == nil {
+				t.Errorf("stream %d: a %d-byte prefix of %d bytes loaded", which, n, len(stream))
+			}
 		}
 		for off := 0; off < len(stream); off += 1 + len(stream)/256 {
 			mut := append([]byte(nil), stream...)
