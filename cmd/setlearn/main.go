@@ -43,6 +43,7 @@ import (
 	"strings"
 	"time"
 
+	"setlearn/internal/cli"
 	"setlearn/internal/core"
 	"setlearn/internal/sets"
 	"setlearn/internal/shard"
@@ -63,25 +64,14 @@ func main() {
 	partFlag := flag.String("partitioner", "hash", "shard partitioner: hash, freq, or cluster")
 	flag.Parse()
 
-	part, err := shard.ParsePartitioner(*partFlag)
-	if err != nil {
-		fatal(err)
-	}
+	part := must(shard.ParsePartitioner(*partFlag))
 	shardOpts := shard.Options{Shards: *shards, Partitioner: part, MeasureBounds: true}
 
 	if *data == "" {
 		fmt.Fprintln(os.Stderr, "setlearn: -data is required")
 		os.Exit(2)
 	}
-	f, err := os.Open(*data)
-	if err != nil {
-		fatal(err)
-	}
-	c, err := sets.ReadCollection(f)
-	f.Close()
-	if err != nil {
-		fatal(err)
-	}
+	c := must(cli.ReadCollection(*data))
 	fmt.Printf("loaded %d sets from %s\n", c.Len(), *data)
 
 	if *task == "stats" {
@@ -91,10 +81,7 @@ func main() {
 		return
 	}
 
-	qs, err := loadQueries(*query, *queries)
-	if err != nil {
-		fatal(err)
-	}
+	qs := must(loadQueries(*query, *queries))
 	if len(qs) == 0 {
 		fmt.Fprintln(os.Stderr, "setlearn: provide -query or -queries")
 		os.Exit(2)
@@ -106,40 +93,30 @@ func main() {
 	case "card":
 		var est core.CardinalityQuerier
 		switch {
-		case *loadPath != "" && sniffSharded(*loadPath):
-			se := loadStructure(*loadPath, func(r *os.File) (*shard.Estimator, error) {
-				return shard.LoadShardedEstimator(r)
-			})
+		case *loadPath != "" && must(cli.IsSharded(*loadPath)):
+			se := must(cli.Load(*loadPath, shard.LoadShardedEstimator))
 			fmt.Printf("loaded sharded estimator from %s (%d %s shards, %.3f MB)\n",
-				*loadPath, se.NumShards(), se.Partitioner(), mbOf(se.SizeBytes()))
+				*loadPath, se.NumShards(), se.Partitioner(), cli.MB(se.SizeBytes()))
 			est = se
 		case *loadPath != "":
-			e := loadStructure(*loadPath, func(r *os.File) (*core.CardinalityEstimator, error) {
-				return core.LoadCardinalityEstimator(r)
-			})
-			fmt.Printf("loaded estimator from %s (%.3f MB)\n", *loadPath, mbOf(e.SizeBytes()))
+			e := must(cli.Load(*loadPath, core.LoadCardinalityEstimator))
+			fmt.Printf("loaded estimator from %s (%.3f MB)\n", *loadPath, cli.MB(e.SizeBytes()))
 			est = e
 		case *shards > 1:
-			se, err := shard.BuildShardedEstimator(c, shardOpts, core.EstimatorOptions{
+			se := must(shard.BuildShardedEstimator(c, shardOpts, core.EstimatorOptions{
 				Model: opts, MaxSubset: *maxSubset, Percentile: *percentile,
-			})
-			if err != nil {
-				fatal(err)
-			}
+			}))
 			fmt.Printf("built sharded estimator (%d %s shards) in %.1fs (%.3f MB)\n",
-				se.NumShards(), se.Partitioner(), time.Since(start).Seconds(), mbOf(se.SizeBytes()))
+				se.NumShards(), se.Partitioner(), time.Since(start).Seconds(), cli.MB(se.SizeBytes()))
 			printBuildStats(se.BuildStats())
 			saveStructure(*savePath, se.Save)
 			est = se
 		default:
-			e, err := core.BuildEstimator(c, core.EstimatorOptions{
+			e := must(core.BuildEstimator(c, core.EstimatorOptions{
 				Model: opts, MaxSubset: *maxSubset, Percentile: *percentile,
-			})
-			if err != nil {
-				fatal(err)
-			}
+			}))
 			fmt.Printf("built estimator in %.1fs (%.3f MB)\n",
-				time.Since(start).Seconds(), mbOf(e.SizeBytes()))
+				time.Since(start).Seconds(), cli.MB(e.SizeBytes()))
 			saveStructure(*savePath, e.Save)
 			est = e
 		}
@@ -149,40 +126,34 @@ func main() {
 	case "index":
 		var idx core.IndexQuerier
 		switch {
-		case *loadPath != "" && sniffSharded(*loadPath):
-			sx := loadStructure(*loadPath, func(r *os.File) (*shard.Index, error) {
+		case *loadPath != "" && must(cli.IsSharded(*loadPath)):
+			sx := must(cli.Load(*loadPath, func(r io.Reader) (*shard.Index, error) {
 				return shard.LoadShardedIndex(r, c)
-			})
+			}))
 			fmt.Printf("loaded sharded index from %s (%d %s shards, %.3f MB)\n",
-				*loadPath, sx.NumShards(), sx.Partitioner(), mbOf(sx.SizeBytes()))
+				*loadPath, sx.NumShards(), sx.Partitioner(), cli.MB(sx.SizeBytes()))
 			idx = sx
 		case *loadPath != "":
-			x := loadStructure(*loadPath, func(r *os.File) (*core.SetIndex, error) {
+			x := must(cli.Load(*loadPath, func(r io.Reader) (*core.SetIndex, error) {
 				return core.LoadIndex(r, c)
-			})
-			fmt.Printf("loaded index from %s (%.3f MB)\n", *loadPath, mbOf(x.SizeBytes()))
+			}))
+			fmt.Printf("loaded index from %s (%.3f MB)\n", *loadPath, cli.MB(x.SizeBytes()))
 			idx = x
 		case *shards > 1:
-			sx, err := shard.BuildShardedIndex(c, shardOpts, core.IndexOptions{
+			sx := must(shard.BuildShardedIndex(c, shardOpts, core.IndexOptions{
 				Model: opts, MaxSubset: *maxSubset, Percentile: *percentile,
-			})
-			if err != nil {
-				fatal(err)
-			}
+			}))
 			fmt.Printf("built sharded index (%d %s shards) in %.1fs (%.3f MB)\n",
-				sx.NumShards(), sx.Partitioner(), time.Since(start).Seconds(), mbOf(sx.SizeBytes()))
+				sx.NumShards(), sx.Partitioner(), time.Since(start).Seconds(), cli.MB(sx.SizeBytes()))
 			printBuildStats(sx.BuildStats())
 			saveStructure(*savePath, sx.Save)
 			idx = sx
 		default:
-			x, err := core.BuildIndex(c, core.IndexOptions{
+			x := must(core.BuildIndex(c, core.IndexOptions{
 				Model: opts, MaxSubset: *maxSubset, Percentile: *percentile,
-			})
-			if err != nil {
-				fatal(err)
-			}
+			}))
 			fmt.Printf("built index in %.1fs (%.3f MB, max err %d)\n",
-				time.Since(start).Seconds(), mbOf(x.SizeBytes()), x.MaxError())
+				time.Since(start).Seconds(), cli.MB(x.SizeBytes()), x.MaxError())
 			saveStructure(*savePath, x.Save)
 			idx = x
 		}
@@ -192,40 +163,30 @@ func main() {
 	case "member":
 		var mf core.MembershipQuerier
 		switch {
-		case *loadPath != "" && sniffSharded(*loadPath):
-			sf := loadStructure(*loadPath, func(r *os.File) (*shard.Filter, error) {
-				return shard.LoadShardedFilter(r)
-			})
+		case *loadPath != "" && must(cli.IsSharded(*loadPath)):
+			sf := must(cli.Load(*loadPath, shard.LoadShardedFilter))
 			fmt.Printf("loaded sharded filter from %s (%d %s shards, %.3f MB)\n",
-				*loadPath, sf.NumShards(), sf.Partitioner(), mbOf(sf.SizeBytes()))
+				*loadPath, sf.NumShards(), sf.Partitioner(), cli.MB(sf.SizeBytes()))
 			mf = sf
 		case *loadPath != "":
-			m := loadStructure(*loadPath, func(r *os.File) (*core.MembershipFilter, error) {
-				return core.LoadMembershipFilter(r)
-			})
-			fmt.Printf("loaded filter from %s (%.3f MB)\n", *loadPath, mbOf(m.SizeBytes()))
+			m := must(cli.Load(*loadPath, core.LoadMembershipFilter))
+			fmt.Printf("loaded filter from %s (%.3f MB)\n", *loadPath, cli.MB(m.SizeBytes()))
 			mf = m
 		case *shards > 1:
-			sf, err := shard.BuildShardedFilter(c, shardOpts, core.FilterOptions{
+			sf := must(shard.BuildShardedFilter(c, shardOpts, core.FilterOptions{
 				Model: opts, MaxSubset: *maxSubset,
-			})
-			if err != nil {
-				fatal(err)
-			}
+			}))
 			fmt.Printf("built sharded filter (%d %s shards) in %.1fs (%.3f MB)\n",
-				sf.NumShards(), sf.Partitioner(), time.Since(start).Seconds(), mbOf(sf.SizeBytes()))
+				sf.NumShards(), sf.Partitioner(), time.Since(start).Seconds(), cli.MB(sf.SizeBytes()))
 			printBuildStats(sf.BuildStats())
 			saveStructure(*savePath, sf.Save)
 			mf = sf
 		default:
-			m, err := core.BuildMembershipFilter(c, core.FilterOptions{
+			m := must(core.BuildMembershipFilter(c, core.FilterOptions{
 				Model: opts, MaxSubset: *maxSubset,
-			})
-			if err != nil {
-				fatal(err)
-			}
+			}))
 			fmt.Printf("built filter in %.1fs (%.3f MB, %d backed up)\n",
-				time.Since(start).Seconds(), mbOf(m.SizeBytes()), m.BackupCount())
+				time.Since(start).Seconds(), cli.MB(m.SizeBytes()), m.BackupCount())
 			saveStructure(*savePath, m.Save)
 			mf = m
 		}
@@ -238,23 +199,10 @@ func main() {
 	}
 }
 
-func mbOf(bytes int) float64 { return float64(bytes) / (1024 * 1024) }
-
-// sniffSharded reports whether path holds a sharded container (by magic), so
-// -load reopens either format without a mode flag.
-func sniffSharded(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	return shard.SniffSharded(f)
-}
-
 // printBuildStats prints one line per shard of a fresh sharded build.
 func printBuildStats(stats []shard.BuildStat) {
 	for _, s := range stats {
-		line := fmt.Sprintf("  shard %d: %d sets, %.1fs, %.3f MB", s.Shard, s.Sets, s.BuildSecs, mbOf(s.Bytes))
+		line := fmt.Sprintf("  shard %d: %d sets, %.1fs, %.3f MB", s.Shard, s.Sets, s.BuildSecs, cli.MB(s.Bytes))
 		if s.MaxError > 0 {
 			line += fmt.Sprintf(", max err %d", s.MaxError)
 		}
@@ -311,20 +259,6 @@ func atomicSave(path string, save func(w io.Writer) error) error {
 	return d.Sync()
 }
 
-// loadStructure opens path and decodes the structure with load.
-func loadStructure[T any](path string, load func(*os.File) (T, error)) T {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	v, err := load(f)
-	if err != nil {
-		fatal(err)
-	}
-	return v
-}
-
 func loadQueries(single, file string) ([]sets.Set, error) {
 	var out []sets.Set
 	if single != "" {
@@ -373,6 +307,14 @@ func parseQuery(s string) (sets.Set, error) {
 		return nil, fmt.Errorf("empty query %q", s)
 	}
 	return sets.New(ids...), nil
+}
+
+// must returns v, or exits with err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		fatal(err)
+	}
+	return v
 }
 
 func fatal(err error) {

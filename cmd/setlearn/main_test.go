@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"testing"
 
 	"setlearn/internal/sets"
@@ -102,4 +103,71 @@ func TestAtomicSaveKeepsTargetOnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectOnly(fresh)
+}
+
+// openFDs counts the descriptors this process holds open, or skips the
+// test where /proc/self/fd is absent.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count descriptors: %v", err)
+	}
+	return len(ents)
+}
+
+// noLeak calls f ten times with the GC off, since collecting an *os.File
+// closes its descriptor, and fails if the process then holds more
+// descriptors than before.
+func noLeak(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f() // the first open may start the runtime's poller
+	before := openFDs(t)
+	for i := 0; i < 10; i++ {
+		f()
+	}
+	if after := openFDs(t); after != before {
+		t.Errorf("%s: %d descriptors open before ten calls, %d after", what, before, after)
+	}
+}
+
+// TestFileHelpersCloseDescriptors: loadQueries and atomicSave close every
+// descriptor they open, when they succeed and when they fail.
+func TestFileHelpersCloseDescriptors(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "q.txt")
+	bad := filepath.Join(dir, "bad.txt")
+	if err := os.WriteFile(good, []byte("1,2\n3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, []byte("1,x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	noLeak(t, "loadQueries", func() {
+		if _, err := loadQueries("", good); err != nil {
+			t.Fatal(err)
+		}
+	})
+	noLeak(t, "loadQueries of a malformed file", func() {
+		if _, err := loadQueries("", bad); err == nil {
+			t.Fatal("a malformed query file loaded")
+		}
+	})
+
+	target := filepath.Join(dir, "est.bin")
+	noLeak(t, "atomicSave", func() {
+		if err := atomicSave(target, func(w io.Writer) error {
+			_, err := w.Write([]byte("structure"))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	errMidway := errors.New("disk full")
+	noLeak(t, "a failing atomicSave", func() {
+		if err := atomicSave(target, func(io.Writer) error { return errMidway }); !errors.Is(err, errMidway) {
+			t.Fatalf("atomicSave error = %v, want %v", err, errMidway)
+		}
+	})
 }

@@ -37,11 +37,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"setlearn/internal/cli"
 	"setlearn/internal/core"
 	"setlearn/internal/server"
 	"setlearn/internal/sets"
@@ -73,23 +75,11 @@ func main() {
 	}
 	var c *sets.Collection
 	if *data != "" {
-		f, err := os.Open(*data)
-		if err != nil {
-			fatal(err)
-		}
-		c, err = sets.ReadCollection(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
+		c = must(cli.ReadCollection(*data))
 	}
 	wantPart := shard.Partitioner(-1)
 	if *partFlag != "" {
-		p, err := shard.ParsePartitioner(*partFlag)
-		if err != nil {
-			fatal(err)
-		}
-		wantPart = p
+		wantPart = must(shard.ParsePartitioner(*partFlag))
 	}
 
 	// The φ fast path memoizes per-element MLP outputs (bit-identical
@@ -103,66 +93,58 @@ func main() {
 	var st server.Structures
 	var retrainables []shard.Retrainable
 	if *cardPath != "" {
-		if sniffSharded(*cardPath) {
-			e := loadStructure(*cardPath, func(f *os.File) (*shard.Estimator, error) {
-				return shard.LoadShardedEstimator(f)
-			})
+		if must(cli.IsSharded(*cardPath)) {
+			e := must(cli.Load(*cardPath, shard.LoadShardedEstimator))
 			checkTopology("estimator", e.NumShards(), e.Partitioner(), *shards, wantPart)
 			retrainables = append(retrainables, attachForRetrain("estimator", e.AttachCollection, c, e)...)
 			st.Estimator = e
 			fmt.Printf("loaded sharded estimator from %s (%d %s shards, %.3f MB, φ %s)\n",
-				*cardPath, e.NumShards(), e.Partitioner(), mbOf(e.SizeBytes()), e.EnableFastPath(fp))
+				*cardPath, e.NumShards(), e.Partitioner(), cli.MB(e.SizeBytes()), e.EnableFastPath(fp))
 			printShardStats(e)
 		} else {
 			rejectShardFlags("estimator", *cardPath, *shards, wantPart)
-			e := loadStructure(*cardPath, func(f *os.File) (*core.CardinalityEstimator, error) {
-				return core.LoadCardinalityEstimator(f)
-			})
+			e := must(cli.Load(*cardPath, core.LoadCardinalityEstimator))
 			st.Estimator = e
 			fmt.Printf("loaded estimator from %s (%.3f MB, φ %s)\n",
-				*cardPath, mbOf(e.SizeBytes()), e.EnableFastPath(fp))
+				*cardPath, cli.MB(e.SizeBytes()), e.EnableFastPath(fp))
 		}
 	}
 	if *memberPath != "" {
-		if sniffSharded(*memberPath) {
-			m := loadStructure(*memberPath, func(f *os.File) (*shard.Filter, error) {
-				return shard.LoadShardedFilter(f)
-			})
+		if must(cli.IsSharded(*memberPath)) {
+			m := must(cli.Load(*memberPath, shard.LoadShardedFilter))
 			checkTopology("filter", m.NumShards(), m.Partitioner(), *shards, wantPart)
 			retrainables = append(retrainables, attachForRetrain("filter", m.AttachCollection, c, m)...)
 			st.Filter = m
 			fmt.Printf("loaded sharded filter from %s (%d %s shards, %.3f MB, φ %s)\n",
-				*memberPath, m.NumShards(), m.Partitioner(), mbOf(m.SizeBytes()), m.EnableFastPath(fp))
+				*memberPath, m.NumShards(), m.Partitioner(), cli.MB(m.SizeBytes()), m.EnableFastPath(fp))
 			printShardStats(m)
 		} else {
 			rejectShardFlags("filter", *memberPath, *shards, wantPart)
-			m := loadStructure(*memberPath, func(f *os.File) (*core.MembershipFilter, error) {
-				return core.LoadMembershipFilter(f)
-			})
+			m := must(cli.Load(*memberPath, core.LoadMembershipFilter))
 			st.Filter = m
 			fmt.Printf("loaded filter from %s (%.3f MB, φ %s)\n",
-				*memberPath, mbOf(m.SizeBytes()), m.EnableFastPath(fp))
+				*memberPath, cli.MB(m.SizeBytes()), m.EnableFastPath(fp))
 		}
 	}
 	if *indexPath != "" {
-		if sniffSharded(*indexPath) {
-			x := loadStructure(*indexPath, func(f *os.File) (*shard.Index, error) {
-				return shard.LoadShardedIndex(f, c)
-			})
+		if must(cli.IsSharded(*indexPath)) {
+			x := must(cli.Load(*indexPath, func(r io.Reader) (*shard.Index, error) {
+				return shard.LoadShardedIndex(r, c)
+			}))
 			checkTopology("index", x.NumShards(), x.Partitioner(), *shards, wantPart)
 			retrainables = append(retrainables, x)
 			st.Index = x
 			fmt.Printf("loaded sharded index from %s over %d sets (%d %s shards, %.3f MB, φ %s)\n",
-				*indexPath, c.Len(), x.NumShards(), x.Partitioner(), mbOf(x.SizeBytes()), x.EnableFastPath(fp))
+				*indexPath, c.Len(), x.NumShards(), x.Partitioner(), cli.MB(x.SizeBytes()), x.EnableFastPath(fp))
 			printShardStats(x)
 		} else {
 			rejectShardFlags("index", *indexPath, *shards, wantPart)
-			x := loadStructure(*indexPath, func(f *os.File) (*core.SetIndex, error) {
-				return core.LoadIndex(f, c)
-			})
+			x := must(cli.Load(*indexPath, func(r io.Reader) (*core.SetIndex, error) {
+				return core.LoadIndex(r, c)
+			}))
 			st.Index = x
 			fmt.Printf("loaded index from %s over %d sets (%.3f MB, φ %s)\n",
-				*indexPath, c.Len(), mbOf(x.SizeBytes()), x.EnableFastPath(fp))
+				*indexPath, c.Len(), cli.MB(x.SizeBytes()), x.EnableFastPath(fp))
 		}
 	}
 
@@ -180,10 +162,7 @@ func main() {
 				*retrainEvery, *deltaThreshold, len(retrainables))
 		}
 	}
-	srv, err := server.New(st, cfg)
-	if err != nil {
-		fatal(err)
-	}
+	srv := must(server.New(st, cfg))
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -226,19 +205,6 @@ func attachForRetrain(kind string, attach func(*sets.Collection) error, c *sets.
 	return []shard.Retrainable{r}
 }
 
-func mbOf(bytes int) float64 { return float64(bytes) / (1024 * 1024) }
-
-// sniffSharded reports whether path holds a sharded container (by magic), so
-// the daemon auto-selects the matching loader without a format flag.
-func sniffSharded(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	return shard.SniffSharded(f)
-}
-
 // checkTopology enforces the -shards / -partitioner expectations against a
 // loaded sharded container; zero values accept anything.
 func checkTopology(kind string, gotK int, gotP shard.Partitioner, wantK int, wantP shard.Partitioner) {
@@ -265,17 +231,12 @@ func rejectShardFlags(kind, path string, wantK int, wantP shard.Partitioner) {
 // printShardStats prints one line per shard of a freshly loaded container.
 func printShardStats(ss core.ShardStatser) {
 	for _, s := range ss.ShardStats() {
-		fmt.Printf("  shard %d: %d sets, %.3f MB, φ %s\n", s.Shard, s.Sets, mbOf(s.Bytes), s.PhiMode)
+		fmt.Printf("  shard %d: %d sets, %.3f MB, φ %s\n", s.Shard, s.Sets, cli.MB(s.Bytes), s.PhiMode)
 	}
 }
 
-func loadStructure[T any](path string, load func(*os.File) (T, error)) T {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	v, err := load(f)
+// must returns v, or exits with err.
+func must[T any](v T, err error) T {
 	if err != nil {
 		fatal(err)
 	}

@@ -14,9 +14,8 @@ import (
 //
 // The sharded containers publish the options to their query paths through
 // atomic.Pointer, so a value is immutable once installed: build a new
-// options value and call EnableFastPath again to change modes.
-//
-//lint:frozen
+// options value and call EnableFastPath again to change modes. The
+// shard package's TestMutationFastPathToggle checks this under -race.
 type FastPathOptions struct {
 	// TableBudgetBytes enables the full φ-table when
 	// deepsets.PhiTableBytes — (MaxID+1) × RhoHidden[0] × 8 at the core

@@ -107,8 +107,12 @@ func (c *Config) applyDefaults() {
 		if c.NS == 0 {
 			c.NS = 2
 		}
-		if c.SVD == 0 {
-			c.SVD = compress.Divisor(c.MaxID+1, c.NS)
+		if c.SVD == 0 && c.NS >= 2 {
+			// The ids 0..MaxID number MaxID+1, which wraps to 0 in uint32
+			// at MaxID 2^32−1; clamp the count there instead. No d^NS
+			// equals 2^32−1 (3·5·17·257·65537 is no perfect power), so the
+			// divisor for 2^32−1 is the one 2^32 ids need.
+			c.SVD = compress.Divisor(uint32(min(uint64(c.MaxID)+1, math.MaxUint32)), c.NS)
 		}
 	}
 }

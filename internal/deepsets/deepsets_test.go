@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"setlearn/internal/ad"
+	"setlearn/internal/compress"
 	"setlearn/internal/nn"
 	"setlearn/internal/sets"
 )
@@ -38,6 +39,39 @@ func TestConfigDefaults(t *testing.T) {
 	cfg := m.Config()
 	if cfg.NS != 2 || cfg.SVD < 2 || cfg.EmbedDim == 0 || cfg.PhiOut == 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
+	}
+}
+
+// TestDefaultDivisor: the compressed default divisor counts the MaxID+1
+// ids without wrapping at MaxID 2^32−1, and below it stays
+// compress.Divisor(MaxID+1, NS).
+func TestDefaultDivisor(t *testing.T) {
+	divisor := func(maxID uint32, ns int) uint32 {
+		c := Config{MaxID: maxID, Compressed: true, NS: ns}
+		c.applyDefaults()
+		return c.SVD
+	}
+	for ns, want := range map[int]uint32{2: 65536, 3: 1626, 4: 256} {
+		if got := divisor(math.MaxUint32, ns); got != want {
+			t.Errorf("MaxID 2^32−1, NS %d: divisor %d, want %d", ns, got, want)
+		}
+	}
+	check := func(maxID uint32) {
+		for ns := 2; ns <= 4; ns++ {
+			if got, want := divisor(maxID, ns), compress.Divisor(maxID+1, ns); got != want {
+				t.Fatalf("MaxID %d, NS %d: divisor %d, want %d", maxID, ns, got, want)
+			}
+		}
+	}
+	for m := uint32(0); m <= 10000; m++ {
+		check(m)
+	}
+	for k := 1; k <= 32; k++ {
+		for _, m := range []uint64{1<<k - 1, 1 << k, 1<<k + 1} {
+			if m < math.MaxUint32 {
+				check(uint32(m))
+			}
+		}
 	}
 }
 

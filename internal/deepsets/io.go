@@ -33,8 +33,8 @@ const (
 	maxLoadParams = 1 << 27 // total scalar parameters (1 GiB at float64)
 )
 
-// validateForLoad bounds a decoded config. It runs before applyDefaults, so
-// zero values (filled with defaults later) are accepted.
+// validateForLoad bounds a decoded config. Zero values stand for the
+// defaults New fills in.
 func validateForLoad(cfg Config) error {
 	checkDim := func(what string, v int) error {
 		if v < 0 || v > maxLoadDim {
@@ -72,33 +72,40 @@ func validateForLoad(cfg Config) error {
 	if cfg.Pool < SumPool || cfg.Pool > MaxPool {
 		return fmt.Errorf("deepsets: corrupt config: pooling %d", cfg.Pool)
 	}
-	// The dominant allocation is the embedding table(s): vocab × EmbedDim.
-	// Bound the total before New allocates it. The uncompressed vocabulary
-	// is MaxID+1; compression only shrinks it.
-	embedDim := cfg.EmbedDim
-	if embedDim == 0 {
-		embedDim = 8
+	// Bound the whole model before New allocates it, with the defaults
+	// New applies. A compressed NS of 1 has no divisor to default to, so
+	// Validate rejects it.
+	cfg.applyDefaults()
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	if cfg.Compressed {
-		ns := cfg.NS
-		if ns == 0 {
-			ns = 2
-		}
-		if cfg.SVD >= 2 {
-			var total uint64
-			for _, v := range compress.VocabSizes(cfg.MaxID, cfg.SVD, ns) {
-				total += uint64(v) * uint64(embedDim)
-			}
-			if total > maxLoadParams {
-				return fmt.Errorf("deepsets: corrupt config: compressed embeddings of %d parameters exceed load limit", total)
-			}
-		}
-	} else {
-		if total := (uint64(cfg.MaxID) + 1) * uint64(embedDim); total > maxLoadParams {
-			return fmt.Errorf("deepsets: corrupt config: embedding of %d parameters exceeds load limit", total)
-		}
+	if n := paramCount(cfg); n > maxLoadParams {
+		return fmt.Errorf("deepsets: corrupt config: %d parameters exceed the load limit of %d", n, maxLoadParams)
 	}
 	return nil
+}
+
+// paramCount is the number of scalar parameters New allocates for cfg,
+// whose defaults are applied: the embedding table(s), then every dense
+// layer of φ and ρ, in×out weights plus out biases.
+func paramCount(cfg Config) uint64 {
+	rows, phiIn := uint64(cfg.MaxID)+1, cfg.EmbedDim
+	if cfg.Compressed {
+		rows = 0
+		for _, v := range compress.VocabSizes(cfg.MaxID, cfg.SVD, cfg.NS) {
+			rows += uint64(v)
+		}
+		phiIn = cfg.NS * cfg.EmbedDim
+	}
+	n := rows * uint64(cfg.EmbedDim)
+	mlp := func(sizes []int) {
+		for i := 1; i < len(sizes); i++ {
+			n += uint64(sizes[i-1]+1) * uint64(sizes[i])
+		}
+	}
+	mlp(append(append([]int{phiIn}, cfg.PhiHidden...), cfg.PhiOut))
+	mlp(append(append([]int{cfg.PhiOut}, cfg.RhoHidden...), 1))
+	return n
 }
 
 // Load reads a model saved by Save.

@@ -2,8 +2,10 @@ package deepsets
 
 import (
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"setlearn/internal/nn"
@@ -214,6 +216,53 @@ func TestPhiCacheConcurrent(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMutationPhiAccelSwap swaps the φ-table, a φ-cache and no accel 200
+// times while 4 goroutines predict through one PredictorPool, letting the
+// readers serve at least 4 predictions after each swap. Every answer must
+// keep the uncached bits; run with -race this checks that SetPhiAccel
+// publishes an accel only once it is complete.
+func TestMutationPhiAccelSwap(t *testing.T) {
+	m := phiFixtureModel(t, SumPool, true)
+	qs := phiFixtureQueries(64, int(m.Config().MaxID), 53)
+	p := m.NewPredictor()
+	truth := make([]float64, len(qs))
+	for i, q := range qs {
+		truth[i] = p.Predict(q)
+	}
+	accels := []PhiAccel{m.BuildPhiTable(), m.NewPhiCache(64*m.cfg.rowWidth()*8, 8), nil}
+	pool := m.NewPredictorPool()
+	var served atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := i % len(qs)
+				if got := pool.Predict(qs[k]); got != truth[k] {
+					t.Errorf("Predict(%v) = %v, want %v", qs[k], got, truth[k])
+					return
+				}
+				served.Add(1)
+			}
+		}(g)
+	}
+	for i := 0; i < 200; i++ {
+		m.SetPhiAccel(accels[i%len(accels)])
+		for n := served.Load() + 4; served.Load() < n && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestPredictorPoolPanicSafety verifies the pool survives panicking queries

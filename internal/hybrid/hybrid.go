@@ -47,16 +47,11 @@ type IndexConfig struct {
 	// paper uses 100 (§8.3.2). Smaller ranges mean tighter bounds and more
 	// memory.
 	RangeLen int
-	// AuxOrder is the B+ tree order for the outlier structure.
-	AuxOrder int
 }
 
 func (c *IndexConfig) applyDefaults() {
 	if c.RangeLen == 0 {
 		c.RangeLen = 100
-	}
-	if c.AuxOrder == 0 {
-		c.AuxOrder = bptree.DefaultOrder
 	}
 }
 
@@ -74,7 +69,7 @@ func BuildIndex(c *sets.Collection, m *deepsets.Model, sc train.Scaler, res *tra
 		model:      m,
 		scaler:     sc,
 		pred:       m.NewPredictorPool(),
-		aux:        bptree.New(cfg.AuxOrder),
+		aux:        bptree.New(bptree.DefaultOrder),
 		rangeLen:   cfg.RangeLen,
 		errors:     make([]int, (c.Len()+cfg.RangeLen-1)/cfg.RangeLen),
 	}

@@ -2,8 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -381,6 +383,22 @@ func TestLoadRejectsTruncatedStream(t *testing.T) {
 		if err := LoadParams(bytes.NewReader(full[:n]), m2.Params()); err == nil {
 			t.Errorf("a %d-byte prefix of the %d-byte stream loaded", n, len(full))
 		}
+	}
+}
+
+// TestLoadRejectsLongName: a header whose name length passes the 4,096-byte
+// bound fails with the bound's error, before a buffer is sized for the name.
+func TestLoadRejectsLongName(t *testing.T) {
+	m := NewMLP("m", []int{2, 1}, ReLU, Sigmoid, rand.New(rand.NewSource(13)))
+	var buf bytes.Buffer
+	for _, v := range []uint32{paramsMagic, uint32(len(m.Params())), 4097, 1, 2} {
+		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := LoadParams(&buf, m.Params())
+	if err == nil || !strings.Contains(err.Error(), "corrupt name length 4097") {
+		t.Fatalf("LoadParams = %v, want the name-length bound's error", err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -316,6 +317,39 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if code := postJSON(t, ts.Client(), url, oversize, nil); code != 400 {
 		t.Errorf("oversize batch: status %d, want 400", code)
+	}
+}
+
+// TestContentLengthDoesNotSizeBuffer: a /v1/card request that claims a
+// 64 MiB Content-Length over a small body answers as usual, and the
+// handler allocates less than maxBody for it: the claim sizes no buffer.
+func TestContentLengthDoesNotSizeBuffer(t *testing.T) {
+	f := sharedFixture(t)
+	s, err := New(Structures{Estimator: f.est}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	raw, err := json.Marshal(map[string]any{"query": idsOf(f.queries[0])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/card", bytes.NewReader(raw))
+	req.ContentLength = 64 << 20
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	var cr cardResp
+	if err := json.Unmarshal(rec.Body.Bytes(), &cr); rec.Code != 200 || err != nil {
+		t.Fatalf("status %d, body %q", rec.Code, rec.Body.Bytes())
+	}
+	if cr.Estimate == nil || *cr.Estimate != f.estimates[0] {
+		t.Fatalf("card = %v, direct call %v", cr.Estimate, f.estimates[0])
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= maxBody {
+		t.Errorf("the request allocated %d bytes, want under maxBody (%d)", grew, maxBody)
 	}
 }
 

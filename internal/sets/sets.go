@@ -225,69 +225,3 @@ func CountSubsets(n, maxSize int) int {
 	}
 	return total
 }
-
-// Union returns the set of elements in either a or b.
-func Union(a, b Set) Set {
-	out := make(Set, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// Intersect returns the set of elements in both a and b.
-func Intersect(a, b Set) Set {
-	out := make(Set, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// Difference returns the elements of a not in b.
-func Difference(a, b Set) Set {
-	out := make(Set, 0, len(a))
-	j := 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j >= len(b) || b[j] != v {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// Jaccard returns |a∩b| / |a∪b|, or 0 when both sets are empty.
-func Jaccard(a, b Set) float64 {
-	inter := len(Intersect(a, b))
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}

@@ -431,62 +431,3 @@ func TestKeyInjective(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSetAlgebra(t *testing.T) {
-	a := New(1, 2, 3, 5)
-	b := New(2, 3, 4)
-	if got := Union(a, b); !got.Equal(New(1, 2, 3, 4, 5)) {
-		t.Fatalf("Union=%v", got)
-	}
-	if got := Intersect(a, b); !got.Equal(New(2, 3)) {
-		t.Fatalf("Intersect=%v", got)
-	}
-	if got := Difference(a, b); !got.Equal(New(1, 5)) {
-		t.Fatalf("Difference=%v", got)
-	}
-	if got := Difference(b, a); !got.Equal(New(4)) {
-		t.Fatalf("Difference reversed=%v", got)
-	}
-	if j := Jaccard(a, b); j != 2.0/5 {
-		t.Fatalf("Jaccard=%v", j)
-	}
-	if Jaccard(New(), New()) != 0 {
-		t.Fatal("empty Jaccard should be 0")
-	}
-}
-
-// Property: algebra identities on random sets.
-func TestSetAlgebraProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		mk := func() Set {
-			n := r.Intn(10)
-			ids := make([]uint32, n)
-			for i := range ids {
-				ids[i] = uint32(r.Intn(30))
-			}
-			return New(ids...)
-		}
-		a, b := mk(), mk()
-		u, inter := Union(a, b), Intersect(a, b)
-		// |A∪B| + |A∩B| == |A| + |B|
-		if len(u)+len(inter) != len(a)+len(b) {
-			return false
-		}
-		// A∪B contains both; A∩B contained in both.
-		if !u.ContainsAll(a) || !u.ContainsAll(b) {
-			return false
-		}
-		if !a.ContainsAll(inter) || !b.ContainsAll(inter) {
-			return false
-		}
-		// A = (A−B) ∪ (A∩B)
-		if !Union(Difference(a, b), inter).Equal(a) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

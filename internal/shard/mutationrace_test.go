@@ -3,9 +3,11 @@ package shard
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"setlearn/internal/core"
 	"setlearn/internal/sets"
 )
 
@@ -195,5 +197,105 @@ func TestMutationUnderLoad(t *testing.T) {
 	}
 	if st := tr.Stats(); st.Errors != 0 {
 		t.Fatalf("trainer reported %d errors", st.Errors)
+	}
+}
+
+// TestMutationFastPathToggle toggles EnableFastPath on a K=2 index while
+// another goroutine inserts fresh sets and retrains both shards, and each
+// retrain re-applies the remembered options to its new model. Run with
+// -race this checks that EnableFastPath publishes options it no longer
+// writes.
+func TestMutationFastPathToggle(t *testing.T) {
+	const k = 2
+	c := mutCollection()
+	idx, err := BuildShardedIndex(c, Options{Shards: k, Partitioner: HashBySet}, mutIndexOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := []core.FastPathOptions{{}, {CacheBytes: 1 << 20}, core.DefaultFastPath}
+	inserted := make(map[int]sets.Set) // position → set
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fresh := freshSets(c.MaxID(), 64, 3)
+		for round := 0; round < 3; round++ {
+			// Insert until both shards hold a pending set, then retrain both.
+			for ds := idx.DeltaStats(); ds.PerShard[0] == 0 || ds.PerShard[1] == 0; ds = idx.DeltaStats() {
+				s := fresh[len(inserted)]
+				inserted[idx.InsertSet(s)] = s
+			}
+			for s := 0; s < k; s++ {
+				if err := idx.RetrainShard(s); err != nil {
+					t.Errorf("retrain shard %d: %v", s, err)
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; ; i++ {
+		select {
+		case <-done:
+			for pos, s := range inserted {
+				if got := idx.Lookup(s); got != pos {
+					t.Errorf("Lookup(%v) = %d, want %d", s, got, pos)
+				}
+			}
+			return
+		default:
+			idx.EnableFastPath(modes[i%len(modes)])
+		}
+	}
+}
+
+// TestInsertConcurrentReaders inserts fresh sets into a K=2 index one at a
+// time while two goroutines look up the set being inserted, which may or
+// may not be visible yet. Each lookup reads the prune-layer words that the
+// insert sets (presence bits, subset support), so run with -race this
+// checks that an insert publishes a shard's prune state only once it is
+// complete.
+func TestInsertConcurrentReaders(t *testing.T) {
+	c := mutCollection()
+	idx, err := BuildShardedIndex(c, Options{Shards: 2, Partitioner: HashBySet}, mutIndexOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := freshSets(c.MaxID(), 300, 2)
+	var cursor atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				j := int(cursor.Load())
+				if got := idx.Lookup(fresh[j]); got != -1 && got != c.Len()+j {
+					t.Errorf("Lookup(%v) = %d during its insert, want -1 or %d", fresh[j], got, c.Len()+j)
+					return
+				}
+			}
+		}()
+	}
+	for j, s := range fresh {
+		cursor.Store(int64(j))
+		if pos := idx.InsertSet(s); pos != c.Len()+j {
+			t.Errorf("InsertSet(%v) = %d, want %d", s, pos, c.Len()+j)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for j, s := range fresh {
+		if got := idx.Lookup(s); got != c.Len()+j {
+			t.Fatalf("Lookup(%v) = %d, want %d", s, got, c.Len()+j)
+		}
 	}
 }
