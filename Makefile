@@ -62,8 +62,8 @@ bench-gate:
 	BENCH_SHARDING_OUT=/tmp/bench_sharding_fresh.json $(GO) run ./cmd/experiments -exp sharding -scale small
 	$(GO) run ./cmd/benchgate -kind sharding -baseline BENCH_sharding.json -fresh /tmp/bench_sharding_fresh.json
 
-# Short coverage-guided fuzz runs over the load paths, the set parser and
-# the HTTP request decoder;
+# Short coverage-guided fuzz runs over the load paths, the set parser, the
+# HTTP request decoder and the insert delta against its naive oracle;
 # CI runs the same budget on every push and a longer nightly pass.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadStructure -fuzztime=20s ./internal/core/
@@ -72,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadCollection -fuzztime=10s ./internal/sets/
 	$(GO) test -fuzz=FuzzSetCanonical -fuzztime=10s ./internal/sets/
 	$(GO) test -fuzz=FuzzDecodeBody -fuzztime=10s ./internal/server/
+	$(GO) test -fuzz=FuzzDelta -fuzztime=10s ./internal/hybrid/
 
 # Regenerate the paper's full evaluation at small scale (minutes).
 experiments:

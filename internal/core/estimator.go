@@ -102,7 +102,7 @@ func (e *CardinalityEstimator) Update(q sets.Set, card float64) {
 // is contained in s is one higher the instant this returns.
 func (e *CardinalityEstimator) InsertSet(s sets.Set) int {
 	pos := int(e.nextPos.Add(1)) - 1
-	e.delta.Add(s, pos) // the delta copies s into its arena
+	e.delta.Add(s, pos) // the delta keeps no reference to s
 	return pos
 }
 

@@ -159,7 +159,7 @@ func (f *MembershipFilter) ModelProbability(q sets.Set) float64 {
 // (the delta check is exact, not probabilistic).
 func (f *MembershipFilter) InsertSet(s sets.Set) int {
 	pos := int(f.nextPos.Add(1)) - 1
-	f.delta.Add(s, pos) // the delta copies s into its arena
+	f.delta.Add(s, pos) // the delta keeps no reference to s
 	return pos
 }
 

@@ -143,12 +143,11 @@ func (i *SetIndex) Insert(s sets.Set, pos int) {
 
 // InsertSet appends s to the logical collection, assigning it the next
 // global position and recording it in the exact delta: lookups answer for
-// it the instant this returns. Each lookup then pays one signature test per
-// pending entry, plus an exact merge for entries whose signature covers the
-// query's (see hybrid.Delta).
+// it the instant this returns. Each lookup then intersects the delta's
+// postings of the query's ids (see hybrid.Delta).
 func (i *SetIndex) InsertSet(s sets.Set) int {
 	pos := int(i.nextPos.Add(1)) - 1
-	i.delta.Add(s, pos) // the delta copies s into its arena
+	i.delta.Add(s, pos) // the delta keeps no reference to s
 	return pos
 }
 

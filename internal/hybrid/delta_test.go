@@ -1,8 +1,10 @@
 package hybrid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -12,7 +14,7 @@ import (
 
 func TestDeltaEmpty(t *testing.T) {
 	d := NewDelta()
-	if d.Len() != 0 || d.Age() != 0 || d.MaxID() != 0 {
+	if d.Len() != 0 || d.Age() != 0 {
 		t.Fatal("empty delta must report zero state")
 	}
 	if d.FirstPos(sets.New(1), false) != -1 {
@@ -66,14 +68,13 @@ func TestDeltaAnswers(t *testing.T) {
 	if !d.Contains(sets.New(1, 3)) || d.Contains(sets.New(1, 4)) {
 		t.Fatal("Contains must be exact subset containment per entry")
 	}
-	if d.MaxID() != 4 {
-		t.Fatalf("MaxID = %d, want 4", d.MaxID())
-	}
 	if d.Age() <= 0 {
 		t.Fatal("non-empty delta must report positive age")
 	}
-	// 3 entries × (8 sig + 8 pos + 4 off) + the leading offset + 9 ids × 4.
-	if got, want := d.SizeBytes(), 3*20+4+9*4; got != want {
+	// 3 entries × (8 pos + 4 count), 1 late entry (position 7 after 10),
+	// postings of ids 1-3 as one-word bitmaps and of id 4 as a one-slot
+	// array, and 4 ids × (key + index + header + map overhead).
+	if got, want := d.SizeBytes(), 3*12+4+4*4+4*(8+postingBytes+mapEntryOverhead); got != want {
 		t.Fatalf("SizeBytes = %d, want %d", got, want)
 	}
 }
@@ -100,7 +101,7 @@ func TestDeltaSnapshotTail(t *testing.T) {
 
 	// NewDeltaFrom carries the tail into a fresh delta.
 	nd := NewDeltaFrom(tail)
-	if nd.Len() != 1 || nd.FirstPos(sets.New(3), false) != 2 || nd.MaxID() != 3 {
+	if nd.Len() != 1 || nd.FirstPos(sets.New(3), false) != 2 {
 		t.Fatal("NewDeltaFrom must preserve entries")
 	}
 	if NewDeltaFrom(nil).Len() != 0 {
@@ -109,9 +110,9 @@ func TestDeltaSnapshotTail(t *testing.T) {
 }
 
 // TestDeltaSnapshotAppendIsolated: snapshot sets are cap-limited views into
-// the element arena, so appending to one reallocates instead of overwriting
-// the next entry's ids, and later Adds (including ones that grow the arena)
-// never change a snapshot already taken.
+// one array, so appending to one reallocates instead of overwriting the
+// next entry's ids, and later Adds (including ones that turn postings into
+// bitmaps) never change a snapshot already taken.
 func TestDeltaSnapshotAppendIsolated(t *testing.T) {
 	d := NewDelta()
 	d.Add(sets.New(1, 2), 0)
@@ -148,23 +149,12 @@ func TestDeltaCopiesOnAdd(t *testing.T) {
 	}
 }
 
-// naiveDelta is the reference the arena-and-signature Delta must agree
-// with: one DeltaEntry per insert and a plain linear scan with no
-// signature filter.
+// naiveDelta is the reference the posting-list Delta must agree with: one
+// DeltaEntry per insert and a plain linear scan.
 type naiveDelta struct{ entries []DeltaEntry }
 
 func (o *naiveDelta) add(s sets.Set, pos int) {
 	o.entries = append(o.entries, DeltaEntry{Pos: pos, Set: s.Clone()})
-}
-
-func (o *naiveDelta) maxID() uint32 {
-	var m uint32
-	for _, en := range o.entries {
-		if n := len(en.Set); n > 0 && en.Set[n-1] > m {
-			m = en.Set[n-1]
-		}
-	}
-	return m
 }
 
 func (o *naiveDelta) firstPos(q sets.Set, equal bool) int {
@@ -203,13 +193,25 @@ func (o *naiveDelta) contains(q sets.Set) bool {
 	return o.count(q) > 0
 }
 
+// sizeBytes follows Delta.SizeBytes from the entries alone: a posting's
+// last add picked its form, so an id held by n entries, the last of them
+// entry e, costs min(n, e/32+1) four-byte slots.
 func (o *naiveDelta) sizeBytes() int {
-	if len(o.entries) == 0 {
-		return 0
+	total, top := 12*len(o.entries), 0
+	n, last := map[uint32]int{}, map[uint32]int{}
+	for e, en := range o.entries {
+		if e > 0 && en.Pos < top {
+			total += 4 // a late entry
+		} else {
+			top = en.Pos
+		}
+		for _, id := range en.Set {
+			n[id]++
+			last[id] = e
+		}
 	}
-	total := 4 // the leading zero offset
-	for _, en := range o.entries {
-		total += 8 + 8 + 4 + 4*len(en.Set)
+	for id, c := range n {
+		total += 4*min(c, last[id]/32+1) + 8 + postingBytes + mapEntryOverhead
 	}
 	return total
 }
@@ -232,15 +234,18 @@ func checkOracle(t *testing.T, name string, d *Delta, o *naiveDelta, queries []s
 	if d.Len() != len(o.entries) {
 		t.Fatalf("%s: Len = %d, oracle %d", name, d.Len(), len(o.entries))
 	}
-	if d.MaxID() != o.maxID() {
-		t.Fatalf("%s: MaxID = %d, oracle %d", name, d.MaxID(), o.maxID())
-	}
-	if d.SizeBytes() != o.sizeBytes() {
-		t.Fatalf("%s: SizeBytes = %d, oracle %d", name, d.SizeBytes(), o.sizeBytes())
-	}
 	if !sameEntries(d.Snapshot(), o.entries) {
 		t.Fatalf("%s: Snapshot differs from the oracle's entries", name)
 	}
+	checkQueries(t, name, d, o, queries)
+	if d.SizeBytes() != o.sizeBytes() {
+		t.Fatalf("%s: SizeBytes = %d, oracle %d", name, d.SizeBytes(), o.sizeBytes())
+	}
+}
+
+// checkQueries compares the Delta's answers to queries with the oracle's.
+func checkQueries(t *testing.T, name string, d *Delta, o *naiveDelta, queries []sets.Set) {
+	t.Helper()
 	for _, q := range queries {
 		for _, equal := range []bool{false, true} {
 			if got, want := d.FirstPos(q, equal), o.firstPos(q, equal); got != want {
@@ -253,6 +258,32 @@ func checkOracle(t *testing.T, name string, d *Delta, o *naiveDelta, queries []s
 		if got, want := d.Contains(q), o.contains(q); got != want {
 			t.Fatalf("%s: Contains(%v) = %v, oracle %v", name, q, got, want)
 		}
+	}
+}
+
+// formLog counts, over a replay of Adds, how often a posting turned into a
+// bitmap and how often back into an array.
+type formLog struct {
+	bitmap            map[uint32]bool // each id's form after its last Add
+	toBitmap, toArray int
+}
+
+// observe records the forms of s's postings right after d.Add(s, ·); only
+// those can have changed.
+func (f *formLog) observe(d *Delta, s sets.Set) {
+	if f.bitmap == nil {
+		f.bitmap = map[uint32]bool{}
+	}
+	for _, id := range s {
+		bm := d.post[d.ids[id]].bitmap
+		if was, ok := f.bitmap[id]; ok && was != bm {
+			if bm {
+				f.toBitmap++
+			} else {
+				f.toArray++
+			}
+		}
+		f.bitmap[id] = bm
 	}
 }
 
@@ -294,9 +325,9 @@ func subsetsOf(rng *rand.Rand, entries []sets.Set, extra uint32) []sets.Set {
 }
 
 // TestDeltaDifferential runs the Delta and the naive oracle side by side
-// over inputs chosen to stress the signature filter, checking every method
-// after every insert batch and the NewDeltaFrom(Tail(cut)) round trip at
-// every cut.
+// over inputs chosen to stress the postings, checking every method after
+// every insert batch and the NewDeltaFrom(Tail(cut)) round trip at every
+// cut.
 func TestDeltaDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type scenario struct {
@@ -304,6 +335,8 @@ func TestDeltaDifferential(t *testing.T) {
 		entries []sets.Set
 		pos     []int
 		queries []sets.Set
+		// switches: some posting must turn into a bitmap and back.
+		switches bool
 	}
 	var scs []scenario
 
@@ -320,12 +353,11 @@ func TestDeltaDifferential(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			qs = append(qs, randomSet(rng, 3, func() uint32 { return uint32(rng.Intn(62)) }))
 		}
-		scs = append(scs, scenario{"random", es, ps, qs})
+		scs = append(scs, scenario{name: "random", entries: es, pos: ps, queries: qs})
 	}
 
-	// Ids that all share one signature bit: every signature test passes,
-	// so only the exact merge can tell entries apart. Equal-lookups probe
-	// same-signature but unequal sets.
+	// A dense twelve-id vocabulary whose ids share one sets.Signature bit,
+	// with equal-lookups on unequal sets of one signature.
 	{
 		col := append([]uint32{3}, collidingIDs(3, 0, 11)...)
 		var es []sets.Set
@@ -346,7 +378,7 @@ func TestDeltaDifferential(t *testing.T) {
 		es = append(es, sets.New(col[0], x))
 		ps = append(ps, 999)
 		qs = append(qs, sets.New(col[1], x), sets.New(col[0], x), sets.New(col[0], col[1], x))
-		scs = append(scs, scenario{"colliding", es, ps, qs})
+		scs = append(scs, scenario{name: "colliding", entries: es, pos: ps, queries: qs})
 	}
 
 	// Ids near math.MaxUint32, including the maximum itself.
@@ -362,7 +394,7 @@ func TestDeltaDifferential(t *testing.T) {
 		ps = append(ps, 150)
 		qs := subsetsOf(rng, es, math.MaxUint32-41)
 		qs = append(qs, sets.New(math.MaxUint32), sets.New(math.MaxUint32-1, math.MaxUint32))
-		scs = append(scs, scenario{"maxuint", es, ps, qs})
+		scs = append(scs, scenario{name: "maxuint", entries: es, pos: ps, queries: qs})
 	}
 
 	// Positions that are not increasing: shuffled and repeated, so FirstPos
@@ -375,20 +407,64 @@ func TestDeltaDifferential(t *testing.T) {
 			ps = append(ps, rng.Intn(100))
 		}
 		qs := subsetsOf(rng, es, 30)
-		scs = append(scs, scenario{"unordered-pos", es, ps, qs})
+		scs = append(scs, scenario{name: "unordered-pos", entries: es, pos: ps, queries: qs})
+	}
+
+	// Ascending positions with occasional adjacent swaps, the order racing
+	// core InsertSet calls produce: each swap leaves a late entry.
+	{
+		var es []sets.Set
+		var ps []int
+		for i := 0; i < 400; i++ {
+			es = append(es, randomSet(rng, 6, func() uint32 { return uint32(rng.Intn(40)) }))
+			ps = append(ps, 1000+i)
+			if i > 0 && rng.Intn(8) == 0 {
+				ps[i-1], ps[i] = ps[i], ps[i-1]
+			}
+		}
+		qs := subsetsOf(rng, es, 41)
+		scs = append(scs, scenario{name: "racing-pos", entries: es, pos: ps, queries: qs})
+	}
+
+	// An id dense in the first 200 entries and then absent for 3,100: its
+	// posting turns into a bitmap, back into an array when the id returns
+	// (3,300 entries span more bitmap words than it has entries), and into
+	// a bitmap again. Beside it, 50 ids spread thinly over every entry.
+	{
+		const x = 7
+		var es []sets.Set
+		var ps []int
+		for i := 0; i < 3400; i++ {
+			ids := []uint32{uint32(100 + rng.Intn(50))}
+			if (i < 200 && i%2 == 0) || i >= 3300 {
+				ids = append(ids, x)
+			}
+			es = append(es, sets.New(ids...))
+			ps = append(ps, i)
+		}
+		qs := []sets.Set{sets.New(x), sets.New(x, 200)}
+		for y := uint32(100); y < 150; y += 7 {
+			qs = append(qs, sets.New(y), sets.New(x, y))
+		}
+		scs = append(scs, scenario{name: "form-switch", entries: es, pos: ps, queries: qs, switches: true})
 	}
 
 	empties := []sets.Set{nil, sets.New()}
 	for _, sc := range scs {
 		qs := append(append([]sets.Set(nil), sc.queries...), empties...)
 		d, o := NewDelta(), &naiveDelta{}
+		var forms formLog
 		checkOracle(t, sc.name+"/empty", d, o, qs)
 		for i, s := range sc.entries {
 			d.Add(s, sc.pos[i])
 			o.add(s, sc.pos[i])
+			forms.observe(d, s)
 			if i%37 == 0 || i == len(sc.entries)-1 {
 				checkOracle(t, sc.name, d, o, qs)
 			}
+		}
+		if sc.switches && (forms.toBitmap < 2 || forms.toArray < 1) {
+			t.Fatalf("%s: %d switches to a bitmap and %d back to an array, want 2 and 1", sc.name, forms.toBitmap, forms.toArray)
 		}
 		for cut := 0; cut <= len(o.entries); cut += 1 + cut/4 {
 			tail := d.Tail(cut)
@@ -401,36 +477,71 @@ func TestDeltaDifferential(t *testing.T) {
 }
 
 // ingestFixture is the delta shape the setlearnbench ingest workload
-// builds: 6800 GenerateRW sets over a 1500-id vocabulary, probed by 4096
-// subset queries drawn from the trained collection.
-func ingestFixture(tb testing.TB) (*Delta, []sets.Set) {
-	tb.Helper()
+// builds: 6800 GenerateRW sets over a 1500-id vocabulary to insert, and
+// 4096 subset queries drawn from the trained collection.
+func ingestFixture() (inserts, queries []sets.Set) {
+	return dataset.GenerateRW(6800, 1500, 4).Sets, dataset.QueryWorkload(dataset.GenerateRW(1000, 1500, 1), 4096, 3, 2)
+}
+
+// deltaOf returns a delta holding ss at positions 1000 onward.
+func deltaOf(ss []sets.Set) *Delta {
 	d := NewDelta()
-	for i, s := range dataset.GenerateRW(6800, 1500, 4).Sets {
+	for i, s := range ss {
 		d.Add(s, 1000+i)
 	}
-	return d, dataset.QueryWorkload(dataset.GenerateRW(1000, 1500, 1), 4096, 3, 2)
+	return d
+}
+
+// TestDeltaSizeBytesTracksHeap: on the ingest fixture, SizeBytes is within
+// 25% of the heap the delta holds (runtime.MemStats around its build, GC
+// forced), and no more than the 271,844 bytes the entry-major layout
+// before posting lists reported there.
+func TestDeltaSizeBytesTracksHeap(t *testing.T) {
+	ins, _ := ingestFixture()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d := deltaOf(ins)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	size := int64(d.SizeBytes())
+	runtime.KeepAlive(d)
+	runtime.KeepAlive(ins)
+	t.Logf("SizeBytes %d, heap growth %d", size, heap)
+	if size > 271844 {
+		t.Errorf("SizeBytes = %d, above the entry-major layout's 271844", size)
+	}
+	if diff := size - heap; diff > heap/4 || -diff > heap/4 {
+		t.Errorf("SizeBytes = %d, more than 25%% off the heap growth %d", size, heap)
+	}
 }
 
 // TestDeltaReadsAllocFree pins the delta read paths at zero allocations on
-// a non-empty delta.
+// a non-empty delta: an array lead probing a bitmap, an AND of bitmaps,
+// and a late entry that FirstPos finds after its main scan.
 func TestDeltaReadsAllocFree(t *testing.T) {
 	d := NewDelta()
 	for i := 0; i < 64; i++ {
 		d.Add(sets.New(uint32(i%7), uint32(i), uint32(100+i)), i)
 	}
-	q := sets.New(3, 10)
-	if n := testing.AllocsPerRun(100, func() { d.Count(q) }); n != 0 {
-		t.Errorf("Count allocates %v per call", n)
+	d.Add(sets.New(3, 10), 5)
+	for _, q := range []sets.Set{sets.New(3, 10), sets.New(3, 5)} {
+		if n := testing.AllocsPerRun(100, func() { d.Count(q) }); n != 0 {
+			t.Errorf("Count(%v) allocates %v per call", q, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { d.Contains(q) }); n != 0 {
+			t.Errorf("Contains(%v) allocates %v per call", q, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { d.FirstPos(q, false) }); n != 0 {
+			t.Errorf("FirstPos(%v) allocates %v per call", q, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { d.FirstPos(q, true) }); n != 0 {
+			t.Errorf("FirstPos(%v, equal) allocates %v per call", q, n)
+		}
 	}
-	if n := testing.AllocsPerRun(100, func() { d.Contains(q) }); n != 0 {
-		t.Errorf("Contains allocates %v per call", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { d.FirstPos(q, false) }); n != 0 {
-		t.Errorf("FirstPos allocates %v per call", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { d.FirstPos(q, true) }); n != 0 {
-		t.Errorf("FirstPos(equal) allocates %v per call", n)
+	if got := d.FirstPos(sets.New(3, 10), false); got != 5 {
+		t.Fatalf("FirstPos({3,10}) = %d, want the late entry's 5", got)
 	}
 }
 
@@ -441,30 +552,47 @@ var (
 	benchHit   bool
 )
 
-func BenchmarkDeltaCount(b *testing.B) {
-	d, qs := ingestFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchCount = d.Count(qs[i%len(qs)])
+// benchDeltaRead times read over the ingest fixture's queries, against its
+// whole delta and against its first 64 sets, the pending count at which
+// setlearnd's trainer retrains by default (-delta-threshold).
+func benchDeltaRead(b *testing.B, read func(d *Delta, q sets.Set)) {
+	ins, qs := ingestFixture()
+	for _, n := range []int{len(ins), 64} {
+		d := deltaOf(ins[:n])
+		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				read(d, qs[i%len(qs)])
+			}
+		})
 	}
+}
+
+func BenchmarkDeltaCount(b *testing.B) {
+	benchDeltaRead(b, func(d *Delta, q sets.Set) { benchCount = d.Count(q) })
 }
 
 func BenchmarkDeltaFirstPos(b *testing.B) {
-	d, qs := ingestFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchPos = d.FirstPos(qs[i%len(qs)], false)
-	}
+	benchDeltaRead(b, func(d *Delta, q sets.Set) { benchPos = d.FirstPos(q, false) })
 }
 
 func BenchmarkDeltaContains(b *testing.B) {
-	d, qs := ingestFixture(b)
+	benchDeltaRead(b, func(d *Delta, q sets.Set) { benchHit = d.Contains(q) })
+}
+
+// BenchmarkDeltaAdd inserts the ingest fixture's sets into a fresh delta,
+// starting over once all are in, so ns/op is the cost of one set.
+func BenchmarkDeltaAdd(b *testing.B) {
+	ins, _ := ingestFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
+	var d *Delta
 	for i := 0; i < b.N; i++ {
-		benchHit = d.Contains(qs[i%len(qs)])
+		j := i % len(ins)
+		if j == 0 {
+			d = NewDelta()
+		}
+		d.Add(ins[j], 1000+j)
 	}
 }
 
@@ -487,8 +615,9 @@ func TestDeltaConcurrent(t *testing.T) {
 						return
 					}
 					d.Count(q)
-					// Snapshot sets are views into the arena Add appends
-					// to; reading them must not race with the writers.
+					// Snapshot rebuilds sets from the postings Add
+					// appends to; reading them must not race with the
+					// writers.
 					for _, en := range d.Snapshot() {
 						if len(en.Set) != 2 {
 							t.Errorf("snapshot entry %v torn", en)
